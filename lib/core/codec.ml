@@ -73,7 +73,9 @@ let link_to_sexp (l : Link.t) =
       Sexp.int l.Link.b;
       kind_to_atom l.Link.kind;
       Sexp.int l.Link.cost;
-      Sexp.atom (Printf.sprintf "%g" l.Link.delay);
+      (* 17 significant digits round-trip every double exactly; 1.0
+         still prints as "1". *)
+      Sexp.atom (Printf.sprintf "%.17g" l.Link.delay);
     ]
 
 let link_of_sexp = function
@@ -85,7 +87,10 @@ let link_of_sexp = function
     let* cost = Sexp.to_int cost in
     (match float_of_string_opt delay with
     | None -> Error ("bad delay " ^ delay)
-    | Some delay -> Ok (Link.make ~id ~a ~b ~cost ~delay kind))
+    | Some delay -> (
+      match Link.make ~id ~a ~b ~cost ~delay kind with
+      | l -> Ok l
+      | exception Invalid_argument msg -> Error msg))
   | s -> Error ("malformed link: " ^ Sexp.to_string s)
 
 let graph_to_sexp g =

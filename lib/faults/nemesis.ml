@@ -9,64 +9,32 @@ let log_src = Logs.Src.create "pr.faults" ~doc:"Fault injection"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Per-message state is kept per scheduling slot so the interposer and
-   tamper hook — which execute on whichever domain performs the send —
-   never share mutable state across lanes: slot 0 is the main domain
-   (and the whole story for sequential runs), slots 1..N the worker
-   lanes of a sharded engine. Probabilistic draws on a lane come from
-   that lane's own split stream, so a sharded run is deterministic per
-   (seed, plan, shard-count); scheduled incidents (crash, partition,
-   storm) run as control events on the main domain and fire
-   identically at every shard count. *)
 type t = {
-  slots : int;
-  logs : (float * string) list array;  (* per-slot, reverse chronological *)
-  dropped : int array;
-  duplicated : int array;
-  delayed : int array;
-  reordered : int array;
-  corrupted : int array;
+  mutable log : (float * string) list;  (* reverse chronological *)
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable delayed : int;
+  mutable reordered : int;
   mutable partition_cut : Link.id list;
+  mutable corrupted : int;
   mutable replayed : int;
   mutable forged : int;
   mutable attackers : Pr_topology.Ad.id list;
 }
 
-let isum = Array.fold_left ( + ) 0
+let fault_log t = List.rev t.log
 
-(* Merge the per-slot logs into one chronological list. Within a slot
-   entries are already ordered; across slots ties break on (slot,
-   position), so the merged log is a deterministic function of the
-   run. The single-slot fast path is the sequential engine's exact
-   historical output. *)
-let fault_log t =
-  if t.slots = 1 then List.rev t.logs.(0)
-  else begin
-    let tagged = ref [] in
-    Array.iteri
-      (fun slot lst ->
-        List.iteri
-          (fun pos e -> tagged := (e, slot, pos) :: !tagged)
-          (List.rev lst))
-      t.logs;
-    List.sort
-      (fun ((t1, _), s1, p1) ((t2, _), s2, p2) ->
-        compare (t1, s1, p1) (t2, s2, p2))
-      !tagged
-    |> List.map (fun (e, _, _) -> e)
-  end
+let dropped t = t.dropped
 
-let dropped t = isum t.dropped
+let duplicated t = t.duplicated
 
-let duplicated t = isum t.duplicated
+let delayed t = t.delayed
 
-let delayed t = isum t.delayed
-
-let reordered t = isum t.reordered
+let reordered t = t.reordered
 
 let partition_cut t = t.partition_cut
 
-let corrupted t = isum t.corrupted
+let corrupted t = t.corrupted
 
 let replayed t = t.replayed
 
@@ -80,36 +48,28 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     ?forge (plan : Plan.t) =
   let engine = Network.engine net in
   let graph = Network.graph net in
-  let shards = Engine.shard_count engine in
-  let nslots = if shards <= 1 then 1 else shards + 1 in
-  (* Current scheduling slot: main/control context is -1 + 1 = 0. *)
-  let slot () = Engine.current_shard engine + 1 in
+  let trace = Network.trace net in
   let t =
     {
-      slots = nslots;
-      logs = Array.make nslots [];
-      dropped = Array.make nslots 0;
-      duplicated = Array.make nslots 0;
-      delayed = Array.make nslots 0;
-      reordered = Array.make nslots 0;
-      corrupted = Array.make nslots 0;
+      log = [];
+      dropped = 0;
+      duplicated = 0;
+      delayed = 0;
+      reordered = 0;
       partition_cut = [];
+      corrupted = 0;
       replayed = 0;
       forged = 0;
       attackers = [];
     }
   in
   let note time what =
-    let s = slot () in
-    t.logs.(s) <- (time, what) :: t.logs.(s);
+    t.log <- (time, what) :: t.log;
     Pr_telemetry.Flight.note Pr_telemetry.Flight.global ~ts:time ~detail:what
       "nemesis.fault";
     Log.info (fun m -> m "t=%.2f %s" time what)
   in
-  (* The recorder is looked up per call: on a worker lane
-     [Network.trace] resolves to that lane's private recorder. *)
   let instant ~tid name =
-    let trace = Network.trace net in
     if Trace.enabled trace then Trace.instant trace ~ts:(Engine.now engine) ~tid name
   in
   (* Without protocol-aware callbacks (tests driving a bare network),
@@ -144,20 +104,9 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
         end
   in
   (* One independent stream per concern, split in a fixed order, so the
-     number of draws one action makes never shifts another's. Under
-     sharding each slot additionally gets its own sub-stream (slot 0
-     keeps the parent), so concurrent lanes never contend on one rng
-     and draws depend only on (seed, plan, shard-count). *)
+     number of draws one action makes never shifts another's. *)
   let msg_rng = Rng.split rng in
   let sched_rng = Rng.split rng in
-  let per_slot_rngs parent =
-    let a = Array.make nslots parent in
-    for i = 1 to nslots - 1 do
-      a.(i) <- Rng.split parent
-    done;
-    a
-  in
-  let msg_rngs = per_slot_rngs msg_rng in
   (* Message-level faults become a delivery interposer. *)
   let drops = ref [] and dups = ref [] and delays = ref [] and reorders = ref [] in
   List.iter
@@ -179,22 +128,15 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     let has_delay = delays <> [] in
     (* Latest scheduled arrival per directed neighbor pair: the FIFO
        clamp floor. Plain added latency must not overtake earlier
-       messages on the same channel — only Reorder may do that. Keyed
-       by the sender's owning shard: every send for [src] executes
-       either on that lane or on the main domain while lanes are
-       parked, so each table has one writer at a time. *)
-    let last_arrival : (int * int, float) Hashtbl.t array =
-      Array.init shards (fun _ -> Hashtbl.create 64)
-    in
+       messages on the same channel — only Reorder may do that. *)
+    let last_arrival : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
     Network.set_delivery_interposer net
       (Some
          (fun ~src ~dst ~link ->
            let now = Engine.now engine in
-           let mrng = msg_rngs.(slot ()) in
-           let s = slot () in
-           if List.exists (fun (p, w) -> in_window w now && Rng.chance mrng p) drops
+           if List.exists (fun (p, w) -> in_window w now && Rng.chance msg_rng p) drops
            then begin
-             t.dropped.(s) <- t.dropped.(s) + 1;
+             t.dropped <- t.dropped + 1;
              instant ~tid:dst "fault.drop";
              []
            end
@@ -204,26 +146,25 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
              let extra_d =
                List.fold_left
                  (fun acc (p, mx, w) ->
-                   if in_window w now && Rng.chance mrng p then acc +. Rng.float mrng mx
+                   if in_window w now && Rng.chance msg_rng p then acc +. Rng.float msg_rng mx
                    else acc)
                  0.0 delays
              in
              let extra_r =
                List.fold_left
                  (fun acc (p, mx, w) ->
-                   if in_window w now && Rng.chance mrng p then acc +. Rng.float mrng mx
+                   if in_window w now && Rng.chance msg_rng p then acc +. Rng.float msg_rng mx
                    else acc)
                  0.0 reorders
              in
              if extra_d > 0.0 then begin
-               t.delayed.(s) <- t.delayed.(s) + 1;
+               t.delayed <- t.delayed + 1;
                instant ~tid:dst "fault.delay"
              end;
              if extra_r > 0.0 then begin
-               t.reordered.(s) <- t.reordered.(s) + 1;
+               t.reordered <- t.reordered + 1;
                instant ~tid:dst "fault.reorder"
              end;
-             let la = last_arrival.(Engine.shard_owner engine src) in
              let key = (src, dst) in
              let arrival =
                if extra_r > 0.0 then base +. extra_d +. extra_r
@@ -231,12 +172,12 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                  (* Clamp even undelayed messages: one may not overtake
                     an earlier delayed one on the same channel. *)
                  let floor_a =
-                   match Hashtbl.find_opt la key with
+                   match Hashtbl.find_opt last_arrival key with
                    | Some a -> a
                    | None -> 0.0
                  in
                  let a = Stdlib.max (base +. extra_d) floor_a in
-                 Hashtbl.replace la key a;
+                 Hashtbl.replace last_arrival key a;
                  a
                end
                else base
@@ -244,12 +185,12 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
              let copies = ref [ arrival -. base ] in
              List.iter
                (fun (p, w) ->
-                 if in_window w now && Rng.chance mrng p then begin
-                   t.duplicated.(s) <- t.duplicated.(s) + 1;
+                 if in_window w now && Rng.chance msg_rng p then begin
+                   t.duplicated <- t.duplicated + 1;
                    instant ~tid:dst "fault.dup";
                    let dup_arrival = arrival +. (0.25 *. base_delay) in
                    if has_delay && extra_r = 0.0 then
-                     Hashtbl.replace la key dup_arrival;
+                     Hashtbl.replace last_arrival key dup_arrival;
                    copies := (dup_arrival -. base) :: !copies
                  end)
                dups;
@@ -263,7 +204,6 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
      and replayed updates are injected through the normal send path. *)
   if Plan.has_byzantine plan then begin
     let byz_rng = Rng.split rng in
-    let byz_rngs = per_slot_rngs byz_rng in
     let attacker_default =
       match Graph.transit_ids graph with
       | [] -> Rng.int byz_rng (Graph.n graph)
@@ -292,25 +232,11 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
       List.exists (function Plan.Replay _ -> true | _ -> false) plan
     in
     (* Ring of the attackers' recent sends, captured pre-corruption:
-       replayed updates are well-formed but stale by re-injection time.
-       One ring per owning shard (the capture runs on the sender's
-       lane); replay drains them in lane order on the main domain. *)
+       replayed updates are well-formed but stale by re-injection time. *)
     let capture_cap = 32 in
-    let captured : (Pr_topology.Ad.id * int * msg) Queue.t array =
-      Array.init shards (fun _ -> Queue.create ())
-    in
-    let captured_total () =
-      Array.fold_left (fun acc q -> acc + Queue.length q) 0 captured
-    in
-    let captured_pop () =
-      let rec go i =
-        if Queue.is_empty captured.(i) then go (i + 1) else Queue.pop captured.(i)
-      in
-      go 0
-    in
+    let captured : (Pr_topology.Ad.id * int * msg) Queue.t = Queue.create () in
     (* Self-injected traffic (forge / replay re-sends) passes the tamper
-       hook untouched and is never re-captured. Only the main domain
-       flips this flag, and only while the lanes are parked. *)
+       hook untouched and is never re-captured. *)
     let injecting = ref false in
     if corrupt_specs <> [] || want_capture then
       Network.set_message_tamper net
@@ -319,24 +245,22 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
              if !injecting then None
              else begin
                if want_capture && List.mem src attackers_l then begin
-                 let q = captured.(Engine.shard_owner engine src) in
-                 if Queue.length q >= capture_cap then ignore (Queue.pop q);
-                 Queue.push (dst, bytes, msg) q
+                 if Queue.length captured >= capture_cap then
+                   ignore (Queue.pop captured);
+                 Queue.push (dst, bytes, msg) captured
                end;
                let now = Engine.now engine in
                match corrupt with
                | None -> None
                | Some corrupt_fn ->
-                 let brng = byz_rngs.(slot ()) in
                  let rec go = function
                    | [] -> None
                    | (prob, atk, w) :: rest ->
-                     if src = atk && in_window w now && Rng.chance brng prob
+                     if src = atk && in_window w now && Rng.chance byz_rng prob
                      then (
-                       match corrupt_fn brng msg with
+                       match corrupt_fn byz_rng msg with
                        | Some m ->
-                         let s = slot () in
-                         t.corrupted.(s) <- t.corrupted.(s) + 1;
+                         t.corrupted <- t.corrupted + 1;
                          note now (Printf.sprintf "corrupt %d->%d" src dst);
                          instant ~tid:dst "fault.corrupt";
                          Some m
@@ -354,10 +278,10 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
       (function
         | Plan.Replay { at_time; count } ->
           Engine.schedule_at engine ~time:at_time (fun () ->
-              let k = Stdlib.min count (captured_total ()) in
+              let k = Stdlib.min count (Queue.length captured) in
               let src = attacker_default in
               for _ = 1 to k do
-                let dst, bytes, msg = captured_pop () in
+                let dst, bytes, msg = Queue.pop captured in
                 t.replayed <- t.replayed + 1;
                 send_injected ~src ~dst ~bytes msg
               done;

@@ -53,16 +53,6 @@ let compiled t ad =
     t.compiled.(ad) <- Some c;
     c
 
-(* Eagerly compile every AD's terms. The sharded engine's worker
-   domains evaluate policies on the receive path; compiling everything
-   up front on the main domain keeps the lazy fill (and its
-   compilation counter) off the parallel path, so per-shard runs stay
-   deterministic and race-free. *)
-let precompile t =
-  for ad = 0 to t.n - 1 do
-    ignore (compiled t ad)
-  done
-
 let set_transit t ad policy =
   t.transit.(ad) <- policy;
   t.compiled.(ad) <- None;

@@ -34,11 +34,6 @@ val compiled : t -> Pr_topology.Ad.id -> Compiled.t
 (** The AD's compiled policy at the current version (compiled on first
     call, cached after). *)
 
-val precompile : t -> unit
-(** Compile every AD's terms eagerly. The sharded engine's setup path
-    calls this so no lazy compilation (or its counter) ever runs on a
-    worker domain. *)
-
 val set_transit : t -> Pr_topology.Ad.id -> Transit_policy.t -> unit
 (** Replace an AD's transit policy, invalidate its compilation and
     bump the store version. *)

@@ -113,23 +113,51 @@ let scenario_all_host_pairs () =
 
 (* --- Codec --------------------------------------------------------------- *)
 
+(* Figure 1 has unit delays; the E15 topology draws heterogeneous
+   ones, which must come back bit-for-bit. *)
 let codec_roundtrip_figure1 () =
-  let s = Scenario.figure1 ~seed:42 () in
-  match Pr_core.Codec.load (Pr_core.Codec.save s) with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok s' ->
-    Alcotest.(check string) "label" s.Scenario.label s'.Scenario.label;
-    check_int "seed" s.Scenario.seed s'.Scenario.seed;
-    check_int "same n" (Graph.n s.Scenario.graph) (Graph.n s'.Scenario.graph);
-    check_int "same links"
-      (Graph.num_links s.Scenario.graph)
-      (Graph.num_links s'.Scenario.graph);
-    check_int "same policy terms"
-      (Pr_policy.Config.total_terms s.Scenario.config)
-      (Pr_policy.Config.total_terms s'.Scenario.config);
-    check_int "same advertisement bytes"
-      (Pr_policy.Config.total_advertisement_bytes s.Scenario.config)
-      (Pr_policy.Config.total_advertisement_bytes s'.Scenario.config)
+  let e15 =
+    Scenario.hierarchical
+      ~topology:
+        { Pr_topology.Generator.default with max_delay = 4.0; max_cost = 3 }
+      ~seed:163 ()
+  in
+  List.iter
+    (fun s ->
+      let g = s.Scenario.graph in
+      List.iter2
+        (fun (l : Pr_topology.Link.t) sx ->
+          match sx with
+          | Pr_util.Sexp.List fields when l.delay = 1.0 ->
+            Alcotest.(check string) "unit delay prints as 1" "1"
+              (Pr_util.Sexp.to_string (List.nth fields 6))
+          | _ -> ())
+        (Array.to_list (Graph.links g))
+        (Result.get_ok (Pr_util.Sexp.assoc "links" (Pr_core.Codec.graph_to_sexp g)));
+      match Pr_core.Codec.load (Pr_core.Codec.save s) with
+      | Error e -> Alcotest.failf "load failed: %s" e
+      | Ok s' ->
+        Alcotest.(check string) "label" s.Scenario.label s'.Scenario.label;
+        check_int "seed" s.Scenario.seed s'.Scenario.seed;
+        check_int "same n" (Graph.n g) (Graph.n s'.Scenario.graph);
+        check_int "same links"
+          (Graph.num_links g)
+          (Graph.num_links s'.Scenario.graph);
+        Array.iter2
+          (fun (l : Pr_topology.Link.t) (l' : Pr_topology.Link.t) ->
+            check_bool
+              (Printf.sprintf "link %d delay %.17g" l.id l.delay)
+              true
+              (Float.equal l.delay l'.delay))
+          (Graph.links g)
+          (Graph.links s'.Scenario.graph);
+        check_int "same policy terms"
+          (Pr_policy.Config.total_terms s.Scenario.config)
+          (Pr_policy.Config.total_terms s'.Scenario.config);
+        check_int "same advertisement bytes"
+          (Pr_policy.Config.total_advertisement_bytes s.Scenario.config)
+          (Pr_policy.Config.total_advertisement_bytes s'.Scenario.config))
+    [ Scenario.figure1 ~seed:42 (); e15 ]
 
 let codec_roundtrip_behaviour =
   QCheck.Test.make ~name:"reloaded scenarios behave identically" ~count:8 QCheck.small_int
@@ -214,7 +242,59 @@ let codec_rejects_garbage () =
   check_bool "not a scenario" true (Result.is_error (Pr_core.Codec.load "(scenario)"));
   check_bool "not sexp" true (Result.is_error (Pr_core.Codec.load "((("));
   check_bool "missing file" true
-    (Result.is_error (Pr_core.Codec.load_file ~path:"/nonexistent/file.scn"))
+    (Result.is_error (Pr_core.Codec.load_file ~path:"/nonexistent/file.scn"));
+  (* Bad link fields from a scenario file come back as [Error], never as
+     an exception or a silently accepted link. *)
+  let graph link =
+    Printf.sprintf
+      "(graph (ads (ad 0 a stub campus) (ad 1 b stub campus)) (links %s))" link
+  in
+  List.iter
+    (fun link ->
+      let doc = graph link in
+      match Pr_core.Codec.graph_of_sexp (Pr_util.Sexp.of_string doc |> Result.get_ok) with
+      | Ok _ -> Alcotest.failf "accepted %s" link
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%s raised %s" link (Printexc.to_string e))
+    [
+      "(link 0 0 1 hierarchical 1 nan)";
+      "(link 0 0 1 hierarchical 1 inf)";
+      "(link 0 0 1 hierarchical 1 0)";
+      "(link 0 0 1 hierarchical 1 -1)";
+      "(link 0 0 1 hierarchical 0 1)";
+      "(link 0 0 0 hierarchical 1 1)";
+    ];
+  check_bool "well-formed link accepted" true
+    (Result.is_ok
+       (Pr_core.Codec.graph_of_sexp
+          (Pr_util.Sexp.of_string (graph "(link 0 0 1 hierarchical 1 1)")
+          |> Result.get_ok)))
+
+let codec_delays_exact () =
+  let delays = [ 1.0; 4.0; 0.1; 1.0 /. 3.0; 1.6117326875038318; 1e-300; Float.max_float ] in
+  let doc =
+    Printf.sprintf "(graph (ads (ad 0 a stub campus) (ad 1 b stub campus)) (links %s))"
+      (String.concat " "
+         (List.mapi (fun id d -> Printf.sprintf "(link %d 0 1 lateral 1 %.17g)" id d) delays))
+  in
+  let g =
+    match Pr_core.Codec.graph_of_sexp (Result.get_ok (Pr_util.Sexp.of_string doc)) with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "decode failed: %s" e
+  in
+  let printed =
+    Result.get_ok (Pr_util.Sexp.assoc "links" (Pr_core.Codec.graph_to_sexp g))
+    |> List.map (function
+         | Pr_util.Sexp.List fields -> Pr_util.Sexp.to_string (List.nth fields 6)
+         | s -> Alcotest.failf "malformed link %s" (Pr_util.Sexp.to_string s))
+  in
+  Alcotest.(check string) "1.0 prints as 1" "1" (List.nth printed 0);
+  Alcotest.(check string) "4.0 prints as 4" "4" (List.nth printed 1);
+  List.iter2
+    (fun d p ->
+      check_bool (Printf.sprintf "%s reads back as %.17g" p d) true
+        (Float.equal d (float_of_string p)))
+    delays printed
 
 let codec_file_roundtrip () =
   let s = Scenario.figure1 ~seed:9 () in
@@ -404,7 +484,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick codec_rejects_garbage;
           Alcotest.test_case "file roundtrip" `Quick codec_file_roundtrip;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_behaviour ] );
+        @ List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_behaviour ]
+        @ [ Alcotest.test_case "delays exact" `Quick codec_delays_exact ] );
       ( "impact",
         [
           Alcotest.test_case "no-op change" `Quick impact_noop_change;

@@ -248,6 +248,19 @@ let network_in_flight_loss () =
   ignore (Engine.run e);
   check_int "in-flight message lost" 0 !received
 
+let network_loss_charged_to_receiver () =
+  let net, e, m, g = make_net () in
+  Network.set_message_handler net (fun ~at:_ ~from:_ _ -> ());
+  Network.send net ~src:0 ~dst:1 ~bytes:10 "lost";
+  Network.set_link_state net (Option.get (Graph.find_link g 0 1)) ~up:false;
+  let other = List.find (fun n -> n <> 1) (Network.up_neighbors net 0) in
+  Network.send net ~src:0 ~dst:other ~bytes:10 "delivered";
+  ignore (Engine.run e);
+  check_int "one loss in total" 1 (Metrics.msgs_lost m);
+  check_int "charged to the receiver" 1 (Metrics.msgs_lost_of m 1);
+  check_int "sender not charged" 0 (Metrics.msgs_lost_of m 0);
+  check_int "delivered message not charged" 0 (Metrics.msgs_lost_of m other)
+
 let network_broadcast () =
   let net, e, _, g = make_net () in
   let received = ref [] in
@@ -411,75 +424,31 @@ let churn_bad_spacing () =
   Alcotest.check_raises "spacing" (Invalid_argument "Churn.schedule: spacing <= 0")
     (fun () -> Pr_sim.Churn.schedule net (Rng.create 1) ~events:2 ~spacing:0.0 ())
 
-(* --- Sharded engine -------------------------------------------------- *)
-
-module Shard = Pr_sim.Shard
-
-let shard_plan_partitions () =
-  let g = Generator.generate (Rng.create 7) (Generator.scaled ~target_ads:60) in
-  let s = Shard.plan g ~shards:4 in
-  check_int "count" 4 (Shard.count s);
-  let pop = Array.make 4 0 in
-  for ad = 0 to Graph.n g - 1 do
-    let o = Shard.owner s ad in
-    check_bool "owner in range" true (o >= 0 && o < 4);
-    pop.(o) <- pop.(o) + 1
-  done;
-  Array.iteri (fun i c -> check_bool (Printf.sprintf "shard %d populated" i) true (c > 0)) pop;
-  check_bool "cross-shard delta positive" true (Shard.delta s > 0.0)
-
-let shard_plan_deterministic () =
-  let g = Generator.generate (Rng.create 7) (Generator.scaled ~target_ads:60) in
-  let a = Shard.plan g ~shards:4 and b = Shard.plan g ~shards:4 in
-  for ad = 0 to Graph.n g - 1 do
-    check_int "same owner" (Shard.owner a ad) (Shard.owner b ad)
-  done;
-  check_float "same delta" (Shard.delta a) (Shard.delta b)
-
-let shard_plan_single () =
-  let g = Figure1.graph () in
-  let s = Shard.plan g ~shards:1 in
-  check_int "one shard" 1 (Shard.count s);
-  for ad = 0 to Graph.n g - 1 do
-    check_int "everything on shard 0" 0 (Shard.owner s ad)
-  done;
-  (* No cross-shard links: the window width is unbounded. *)
-  check_bool "delta infinite" true (Shard.delta s = infinity)
-
-(* One converge under churn, sequential or sharded, summarized by
-   everything the equivalence contract covers: the convergence record,
-   the full metrics document (per-AD sends, bytes, computations, table
-   entries), and the delivery outcome of one flow per AD. *)
-let converge_summary ~seed ~size ~shards =
+(* One converge under churn, summarized by the convergence record, the
+   full metrics document and the delivery outcome of one flow per AD. *)
+let converge_summary ~seed ~size =
   let g = Generator.generate (Rng.create seed) (Generator.scaled ~target_ads:size) in
   let module R = Pr_proto.Runner.Make (Pr_ls.Ls) in
-  let r = R.setup ~shards g (Pr_policy.Config.defaults g) in
-  Pr_sim.Churn.schedule (R.network r)
-    (Rng.derive seed "churn")
-    ~events:6 ~spacing:4.0 ();
+  let r = R.setup g (Pr_policy.Config.defaults g) in
+  Pr_sim.Churn.schedule (R.network r) (Rng.derive seed "churn") ~events:6 ~spacing:4.0 ();
   let c = R.converge r in
   let metrics = Pr_util.Json.to_string (Metrics.to_json (R.metrics r)) in
   let n = Graph.n g in
   let routes =
     List.init n (fun src ->
         let dst = (src + (n / 2)) mod n in
-        Pr_proto.Forwarding.delivered
-          (R.send_flow r (Pr_policy.Flow.make ~src ~dst ())))
+        Pr_proto.Forwarding.delivered (R.send_flow r (Pr_policy.Flow.make ~src ~dst ())))
   in
   (c, metrics, routes)
 
-let sharded_equals_sequential =
-  QCheck.Test.make
-    ~name:"sharded converge equals sequential (any topology, churn, 2-8 shards)"
-    ~count:8
-    QCheck.(triple small_int small_int small_int)
-    (fun (seed, size, shards) ->
-      let seed = 1 + (seed mod 1000)
-      and size = 8 + (size mod 33)
-      and shards = 2 + (shards mod 7) in
-      let cs, ms, rs = converge_summary ~seed ~size ~shards:1 in
-      let cp, mp, rp = converge_summary ~seed ~size ~shards in
-      cs = cp && String.equal ms mp && rs = rp)
+let converge_deterministic =
+  QCheck.Test.make ~name:"converge under churn is deterministic per seed" ~count:8
+    QCheck.(pair small_int small_int)
+    (fun (seed, size) ->
+      let seed = 1 + (seed mod 1000) and size = 8 + (size mod 33) in
+      let c, m, r = converge_summary ~seed ~size in
+      let c', m', r' = converge_summary ~seed ~size in
+      c = c' && String.equal m m' && r = r')
 
 let () =
   Alcotest.run "pr_sim"
@@ -513,19 +482,13 @@ let () =
           Alcotest.test_case "up neighbors" `Quick network_up_neighbors;
           Alcotest.test_case "fail random link" `Quick network_fail_random;
           Alcotest.test_case "fail random by kind" `Quick network_fail_random_kind;
+          Alcotest.test_case "loss charged to receiver" `Quick network_loss_charged_to_receiver;
         ] );
       ( "virtual-gateway",
         [
           Alcotest.test_case "failover" `Quick virtual_gateway_failover;
           Alcotest.test_case "protocol transparent" `Quick virtual_gateway_protocol_transparent;
         ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "plan partitions" `Quick shard_plan_partitions;
-          Alcotest.test_case "plan deterministic" `Quick shard_plan_deterministic;
-          Alcotest.test_case "single shard trivial" `Quick shard_plan_single;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ sharded_equals_sequential ] );
       ( "churn",
         [
           Alcotest.test_case "restores links" `Quick churn_restores_links;
@@ -534,5 +497,6 @@ let () =
           Alcotest.test_case "no up links" `Quick churn_no_up_links;
           Alcotest.test_case "kind matches nothing" `Quick churn_kind_matches_nothing;
           Alcotest.test_case "bad spacing" `Quick churn_bad_spacing;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ converge_deterministic ] );
     ]

@@ -43,6 +43,21 @@ let link_basics () =
   Alcotest.check_raises "bad cost" (Invalid_argument "Link.make: cost < 1") (fun () ->
       ignore (Link.make ~id:0 ~a:1 ~b:2 ~cost:0 Link.Lateral))
 
+let link_delay_validation () =
+  List.iter
+    (fun (delay, msg) ->
+      Alcotest.check_raises (Printf.sprintf "delay %g" delay) (Invalid_argument msg) (fun () ->
+          ignore (Link.make ~id:0 ~a:1 ~b:2 ~delay Link.Lateral)))
+    [
+      (Float.nan, "Link.make: delay not finite");
+      (Float.infinity, "Link.make: delay not finite");
+      (Float.neg_infinity, "Link.make: delay not finite");
+      (0.0, "Link.make: delay <= 0");
+      (-1.0, "Link.make: delay <= 0");
+    ];
+  let l = Link.make ~id:0 ~a:1 ~b:2 ~delay:0.25 Link.Lateral in
+  check_bool "small positive delay kept" true (Float.equal 0.25 l.Link.delay)
+
 (* --- Graph --------------------------------------------------------- *)
 
 let triangle () =
@@ -689,6 +704,7 @@ let () =
         [
           Alcotest.test_case "ad basics" `Quick ad_basics;
           Alcotest.test_case "link basics" `Quick link_basics;
+          Alcotest.test_case "link delay validation" `Quick link_delay_validation;
         ] );
       ( "graph",
         [
