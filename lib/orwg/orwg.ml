@@ -51,9 +51,10 @@ module type VARIANT = sig
       messages per synthesis). *)
 
   val prune_synthesis : bool
-  (** Synthesis heuristic (paper section 6): search valley-free routes
-      first, falling back to the exhaustive search only when the
-      hierarchy-shaped candidate space has no legal route. *)
+  (** Synthesis heuristic (paper section 6): an optimistic node-level
+      search that ignores prev/next-hop predicates, validated exactly,
+      falling back to the exact (node, arrived-from) search when no
+      route is found or a hop-constrained term rejects it. *)
 end
 
 module type S = sig
@@ -126,8 +127,6 @@ module Make (V : VARIANT) = struct
     (* The route server each AD uses: itself, or its provider under
        stub delegation. *)
     route_server : Pr_topology.Ad.id array;
-    (* Hierarchy ranks for the valley-first synthesis heuristic. *)
-    ranks : int array;
     mutable next_handle : int;
   }
 
@@ -182,10 +181,6 @@ module Make (V : VARIANT) = struct
         flood;
         store;
         route_server;
-        ranks =
-          Array.map
-            (fun (a : Pr_topology.Ad.t) -> Pr_topology.Ad.level_rank a.Pr_topology.Ad.level)
-            (Graph.ads graph);
         nodes =
           Array.init n (fun _ ->
               {
@@ -285,7 +280,7 @@ module Make (V : VARIANT) = struct
     let shortest () =
       let path, work =
         if V.prune_synthesis then
-          Policy_route.shortest_pruned engine ~ranks:t.ranks ~avoid ()
+          Policy_route.shortest_pruned engine ~avoid ()
         else Policy_route.shortest engine ~avoid ()
       in
       Metrics.record_computation (Network.metrics t.net) server ~work ();

@@ -57,10 +57,13 @@ module type VARIANT = sig
       synthesis. Compared against full flooding in experiment E13. *)
 
   val prune_synthesis : bool
-  (** Synthesis heuristic (paper section 6, open issue 1): search
-      valley-free routes first ({!Pr_proto.Policy_route.shortest_pruned}),
-      falling back to the exhaustive search when the hierarchy-shaped
-      candidate space has no legal route. Compared in experiment E7. *)
+  (** Synthesis heuristic (paper section 6, open issue 1):
+      {!Pr_proto.Policy_route.shortest_pruned} — an optimistic
+      node-level search that ignores prev/next-hop predicates, whose
+      route is then validated exactly; the exact (node, arrived-from)
+      search runs only when nothing was found or a hop-constrained term
+      rejects the route. Routes cost the same as the exact search's,
+      for less work in the common case. Compared in experiment E7. *)
 end
 
 module type S = sig
@@ -129,8 +132,8 @@ module Delegated : S
     distribution strategy of experiment E13). *)
 
 module Pruned : S
-(** Valley-first route synthesis (the pruning heuristic of
-    experiment E7). *)
+(** Optimistic-then-exact route synthesis (the pruning heuristic of
+    experiment E7, {!Pr_proto.Policy_route.shortest_pruned}). *)
 
 module Bounded_pg (C : sig
   val capacity : int

@@ -54,9 +54,7 @@ let db_neighbors e u =
         else Option.map (fun m -> (v, m)) (Lsdb.bidirectional_metric e.db e.flow.Flow.qos u v))
       lsa.Lsdb.adjacencies
 
-let shortest e ?(avoid = []) () =
-  let n = e.n in
-  let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
+let search ~n ~src ~dst ~adj ~entry ~admit ?(avoid = []) () =
   if src = dst then (Some [ src ], 0)
   else begin
     (* State (v, p): we are at v having arrived from p. Encoded as
@@ -65,29 +63,28 @@ let shortest e ?(avoid = []) () =
        interior).
 
        Storage is NOT n^2: a reachable state's p is always one of v's
-       bidirectionally-confirmed neighbors, so there are only
-       sum-of-degrees states plus the start. A per-call adjacency
-       snapshot (one [db_neighbors] per node instead of one per
-       settled state) doubles as the CSR index that maps (v, p) to a
-       compact slot by binary search. Queue payloads and priorities
-       are unchanged, so pop order — and therefore the synthesized
-       route — is identical to the dense-array formulation. *)
-    let adj = Array.make n [||] in
+       neighbors in the (symmetric) adjacency snapshot, so there are
+       only sum-of-degrees states plus the start. The snapshot doubles
+       as the CSR index that maps (v, p) to a compact slot. Queue
+       payloads and priorities are those of the dense-array
+       formulation, so pop order — and therefore the synthesized
+       route — is identical to it. *)
     let offset = Array.make (n + 1) 0 in
     for u = 0 to n - 1 do
-      adj.(u) <- Array.of_list (db_neighbors e u);
       offset.(u + 1) <- offset.(u) + Array.length adj.(u)
     done;
     let start_slot = offset.(n) in
     let slot v p =
       (* Position of p among v's neighbors. A linear exact-match scan:
          degrees are small and, unlike a rank search, it does not care
-         how a hand-built LSA ordered its adjacencies. *)
+         how the caller ordered a row. *)
       let a = adj.(v) in
+      let len = Array.length a in
       let i = ref 0 in
-      while fst (Array.unsafe_get a !i) <> p do
+      while !i < len && fst (Array.unsafe_get a !i) <> p do
         incr i
       done;
+      if !i = len then invalid_arg "Policy_route.search: adjacency is not symmetric";
       offset.(v) + !i
     in
     let size = start_slot + 1 in
@@ -118,20 +115,24 @@ let shortest e ?(avoid = []) () =
           end
           else begin
             let prev = if v = src then None else Some p in
-            Array.iter
-              (fun (w, cost) ->
-                let interior_ok = v = src || admits e v ~prev ~next:(Some w) in
-                let avoid_ok = w = dst || not avoid_arr.(w) in
-                if interior_ok && avoid_ok && w <> src then begin
-                  let slot' = slot w v in
-                  let d' = d +. float_of_int cost in
-                  if d' < dist.(slot') then begin
-                    dist.(slot') <- d';
-                    parent.(slot') <- state_slot;
-                    Pqueue.add q ~priority:d' (encode w v)
-                  end
-                end)
-              adj.(v)
+            let e = if v = src then None else Some (entry v) in
+            let a = adj.(v) in
+            for i = 0 to Array.length a - 1 do
+              let w, cost = Array.unsafe_get a i in
+              let interior_ok =
+                match e with None -> true | Some e -> admit e ~prev ~next:(Some w)
+              in
+              let avoid_ok = w = dst || not avoid_arr.(w) in
+              if interior_ok && avoid_ok && w <> src then begin
+                let slot' = slot w v in
+                let d' = d +. float_of_int cost in
+                if d' < dist.(slot') then begin
+                  dist.(slot') <- d';
+                  parent.(slot') <- state_slot;
+                  Pqueue.add q ~priority:d' (encode w v)
+                end
+              end
+            done
           end
         end
     done;
@@ -168,6 +169,11 @@ let shortest e ?(avoid = []) () =
       | Some p when Pr_topology.Path.is_loop_free p -> (Some p, !work)
       | _ -> (None, !work))
   end
+
+let shortest e ?avoid () =
+  let adj = Array.init e.n (fun u -> Array.of_list (db_neighbors e u)) in
+  search ~n:e.n ~src:e.flow.Flow.src ~dst:e.flow.Flow.dst ~adj ~entry:Fun.id
+    ~admit:(admits e) ?avoid ()
 
 (* Optimistic node-level Dijkstra: admission is checked per node,
    ignoring prev/next-hop predicates (a None hop satisfies any
@@ -234,8 +240,7 @@ let path_admitted e path =
   in
   scan path
 
-let shortest_pruned e ~ranks ?(avoid = []) () =
-  ignore ranks;
+let shortest_pruned e ?(avoid = []) () =
   match shortest_optimistic e ~avoid with
   | Some path, work when path_admitted e path ->
     (* The optimistic route survives exact validation: done, at node

@@ -9,11 +9,15 @@
 
     Because admission of an interior AD depends on both its
     predecessor and successor, shortest-path search runs over
-    (node, arrived-from) states rather than nodes.
+    (node, arrived-from) states rather than nodes. {!search} is that
+    search, the one policy-route Dijkstra in the system: {!shortest}
+    runs it over the link-state database, and the route server
+    ([Pr_serve.Serve]) runs it over the live graph with admission
+    resolved through its decision diagrams.
 
-    All searches run through an {!engine}: a per-flow view of the
-    database that resolves each AD's flow-only policy conditions once
-    ({!Pr_policy.Compiled.specialize}) and leaves only prev/next
+    The database searches run through an {!engine}: a per-flow view of
+    the database that resolves each AD's flow-only policy conditions
+    once ({!Pr_policy.Compiled.specialize}) and leaves only prev/next
     bitset probes in the relaxation inner loop. *)
 
 type engine
@@ -47,20 +51,48 @@ val force_interpreted : bool ref
     alive so the policy-admit microbenchmark can compare both in one
     binary. Defaults to false; do not set outside [bench]. *)
 
+val search :
+  n:int ->
+  src:Pr_topology.Ad.id ->
+  dst:Pr_topology.Ad.id ->
+  adj:(Pr_topology.Ad.id * int) array array ->
+  entry:(Pr_topology.Ad.id -> 'e) ->
+  admit:('e -> prev:Pr_topology.Ad.id option -> next:Pr_topology.Ad.id option -> bool) ->
+  ?avoid:Pr_topology.Ad.id list ->
+  unit ->
+  Pr_topology.Path.t option * int
+(** Minimum-cost loop-free path from [src] to [dst] whose every
+    interior crossing is admitted: Dijkstra over (node, arrived-from)
+    states of the caller's adjacency snapshot. [adj.(u)] lists [u]'s
+    neighbors with the metric of the edge out of [u]; the snapshot
+    must be symmetric ([v] in [adj.(u)] iff [u] in [adj.(v)]), and a
+    relaxation onto a missing reverse entry raises
+    [Invalid_argument "Policy_route.search: adjacency is not
+    symmetric"]. Storage is one slot per adjacency entry (the sum of
+    degrees), not [n * n].
+
+    [entry v] is resolved once each time a state at a non-source AD
+    [v] is settled (never for [src], never for [dst]), so callers can
+    hoist per-AD, per-flow work there; [admit (entry v) ~prev ~next]
+    runs on every edge relaxation out of such a state. [avoid]
+    excludes interior ADs. Returns the path (or [None] when no legal
+    loop-free path exists) and the search work: the number of states
+    settled, [0] when [src = dst]. *)
+
 val shortest :
   engine ->
   ?avoid:Pr_topology.Ad.id list ->
   unit ->
   Pr_topology.Path.t option * int
-(** Minimum-cost policy-legal path for the engine's flow (links must
-    be advertised in both directions). [avoid] excludes interior ADs
+(** Minimum-cost policy-legal path for the engine's flow: {!search}
+    over the database's bidirectionally confirmed adjacencies, weighted
+    by the flow's QOS metric. [avoid] excludes interior ADs
     (the source's own criteria). Returns the path and the search work
     (states settled), the unit charged to {!Pr_sim.Metrics} as
     computation. *)
 
 val shortest_pruned :
   engine ->
-  ranks:int array ->
   ?avoid:Pr_topology.Ad.id list ->
   unit ->
   Pr_topology.Path.t option * int
@@ -71,9 +103,8 @@ val shortest_pruned :
     exact search's n² (node, arrived-from) states — then validates the
     result exactly and falls back to {!shortest} only when a
     hop-constrained term rejects it. Exact in outcome, cheap in the
-    common case where few terms constrain hops. [ranks] is accepted
-    for strategy experimentation and currently unused. Returns the
-    route and the combined search work. *)
+    common case where few terms constrain hops. Returns the route and
+    the combined search work. *)
 
 val enumerate :
   engine ->

@@ -34,7 +34,6 @@ type node =
 
 let leaf_false = Leaf false
 let leaf_true = Leaf true
-let leaf b = if b then leaf_true else leaf_false
 
 let node_id = function
   | Leaf false -> 0

@@ -46,8 +46,6 @@ val compile : store -> Pr_policy.Compiled.t -> node
 (** Compile one AD's terms to its diagram root. Every compilation
     sharing a [store] must come from the same AD universe size. *)
 
-val leaf : bool -> node
-
 val node_id : node -> int
 (** Unique, stable id; equal ids iff physically equal nodes. *)
 

@@ -8,7 +8,6 @@ module Qos = Pr_policy.Qos
 module Uci = Pr_policy.Uci
 module Policy_store = Pr_policy.Policy_store
 module Lru = Pr_util.Lru
-module Pqueue = Pr_util.Pqueue
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
 module Hist = Pr_telemetry.Hist
@@ -129,134 +128,54 @@ type answer =
   | Route of { path : Path.t; handle : int; version : int; cache_hit : bool }
   | No_route of { version : int }
 
-(* Exact (node, arrived-from) policy search — the Policy_route.shortest
-   kernel, re-targeted at the configured graph under dynamic link/node
-   state, with admission resolved through the diagram snapshot: one
-   [Pdd.flow_entry] per touched AD, then at most a few predicate
-   probes per edge relaxation. *)
+(* Exact (node, arrived-from) policy search: {!Pr_proto.Policy_route.search}
+   over the configured graph under dynamic link/node state, with
+   admission resolved through the diagram snapshot — one
+   [Pdd.flow_entry] per touched AD, then at most a few predicate probes
+   per edge relaxation. *)
 let synthesize t snap (f : Flow.t) =
   let g = t.graph in
   let n = Graph.n g in
-  let src = f.Flow.src and dst = f.Flow.dst in
-  if src = dst then Some [ src ]
-  else begin
-    let entries : Pdd.node option array = Array.make n None in
-    let entry ad =
-      match entries.(ad) with
-      | Some e -> e
-      | None ->
-          let e = Pdd.flow_entry (Pdd.root snap ad) f in
-          entries.(ad) <- Some e;
-          e
-    in
-    (* Adjacency snapshot: per node, the cheapest up parallel link to
-       each up neighbor under the flow's QOS metric. *)
-    let adj = Array.make n [||] in
-    let offset = Array.make (n + 1) 0 in
-    for u = 0 to n - 1 do
-      (if t.node_up u then begin
-         let acc = ref [] in
-         let cur_nbr = ref (-1) and cur_m = ref max_int in
-         let flush () =
-           if !cur_nbr >= 0 && !cur_m < max_int then acc := (!cur_nbr, !cur_m) :: !acc
-         in
-         Graph.iter_neighbors g u ~f:(fun v l ->
-             if v <> !cur_nbr then begin
-               flush ();
-               cur_nbr := v;
-               cur_m := max_int
-             end;
-             if t.node_up v && t.link_up l then begin
-               let link = Graph.link g l in
-               let m =
-                 Pr_proto.Qos_metric.metric f.Flow.qos ~cost:link.Link.cost
-                   ~delay:link.Link.delay
-               in
-               if m < !cur_m then cur_m := m
-             end);
-         flush ();
-         adj.(u) <- Array.of_list (List.rev !acc)
-       end);
-      offset.(u + 1) <- offset.(u) + Array.length adj.(u)
-    done;
-    let start_slot = offset.(n) in
-    let slot v p =
-      let a = adj.(v) in
-      let i = ref 0 in
-      while fst (Array.unsafe_get a !i) <> p do
-        incr i
-      done;
-      offset.(v) + !i
-    in
-    let size = start_slot + 1 in
-    let dist = Array.make size infinity in
-    let parent = Array.make size (-1) in
-    let settled = Array.make size false in
-    let q = Pqueue.create () in
-    let encode v p = (v * n) + p in
-    dist.(start_slot) <- 0.0;
-    Pqueue.add q ~priority:0.0 (encode src src);
-    let best_final = ref None in
-    let continue_ = ref true in
-    while !continue_ do
-      match Pqueue.pop q with
-      | None -> continue_ := false
-      | Some (d, state) ->
-          let v = state / n and p = state mod n in
-          let state_slot = if v = src then start_slot else slot v p in
-          if not settled.(state_slot) then begin
-            settled.(state_slot) <- true;
-            if v = dst then begin
-              best_final := Some state_slot;
-              continue_ := false
-            end
-            else begin
-              let prev = if v = src then None else Some p in
-              let e = if v = src then Pdd.leaf true else entry v in
-              Array.iter
-                (fun (w, cost) ->
-                  let interior_ok =
-                    v = src || Pdd.entry_admit e ~prev ~next:(Some w)
-                  in
-                  if interior_ok && w <> src then begin
-                    let slot' = slot w v in
-                    let d' = d +. float_of_int cost in
-                    if d' < dist.(slot') then begin
-                      dist.(slot') <- d';
-                      parent.(slot') <- state_slot;
-                      Pqueue.add q ~priority:d' (encode w v)
-                    end
-                  end)
-                adj.(v)
-            end
-          end
-    done;
-    let node_of s =
-      if s = start_slot then src
-      else begin
-        let lo = ref 0 and hi = ref n in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if offset.(mid) <= s then lo := mid else hi := mid
-        done;
-        !lo
-      end
-    in
-    match !best_final with
-    | None -> None
-    | Some state ->
-        let rec build acc state steps =
-          if steps > size then None
-          else begin
-            let v = node_of state in
-            if parent.(state) < 0 then Some (v :: acc)
-            else build (v :: acc) parent.(state) (steps + 1)
-          end
-        in
-        (match build [] state 0 with
-        | Some p when Path.is_loop_free p -> Some p
-        | _ -> None)
-  end
+  let entries : Pdd.node option array = Array.make n None in
+  let entry ad =
+    match entries.(ad) with
+    | Some e -> e
+    | None ->
+        let e = Pdd.flow_entry (Pdd.root snap ad) f in
+        entries.(ad) <- Some e;
+        e
+  in
+  (* Adjacency snapshot: per node, the cheapest up parallel link to
+     each up neighbor under the flow's QOS metric. *)
+  let adj = Array.make n [||] in
+  for u = 0 to n - 1 do
+    if t.node_up u then begin
+      let acc = ref [] in
+      let cur_nbr = ref (-1) and cur_m = ref max_int in
+      let flush () =
+        if !cur_nbr >= 0 && !cur_m < max_int then acc := (!cur_nbr, !cur_m) :: !acc
+      in
+      Graph.iter_neighbors g u ~f:(fun v l ->
+          if v <> !cur_nbr then begin
+            flush ();
+            cur_nbr := v;
+            cur_m := max_int
+          end;
+          if t.node_up v && t.link_up l then begin
+            let link = Graph.link g l in
+            let m =
+              Pr_proto.Qos_metric.metric f.Flow.qos ~cost:link.Link.cost
+                ~delay:link.Link.delay
+            in
+            if m < !cur_m then cur_m := m
+          end);
+      flush ();
+      adj.(u) <- Array.of_list (List.rev !acc)
+    end
+  done;
+  fst
+    (Pr_proto.Policy_route.search ~n ~src:f.Flow.src ~dst:f.Flow.dst ~adj ~entry
+       ~admit:Pdd.entry_admit ())
 
 let issue_handle t ~now path =
   let h = t.next_handle in

@@ -64,8 +64,9 @@ val cache_ready : t -> snap:Pdd.snapshot -> Pr_policy.Flow.t -> bool
 val query : ?snap:Pdd.snapshot -> t -> now:float -> Pr_policy.Flow.t -> answer
 (** Answer one route query: from the route cache when the entry was
     computed at the same database version and its path is still up,
-    otherwise by exact (node, arrived-from) policy search over the
-    diagram snapshot. Every read — cache validity, admission, search —
+    otherwise by exact (node, arrived-from) policy search
+    ({!Pr_proto.Policy_route.search}) over the live topology, with
+    admission read from the diagram snapshot. Every read — cache validity, admission, search —
     uses the single pinned snapshot ([snap] if given, else the current
     one). A successful query installs the route in the handle table
     and returns the fresh handle. *)

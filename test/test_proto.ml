@@ -236,6 +236,37 @@ let policy_route_enumerate_legal () =
   check_bool "all legal" true
     (List.for_all (fun p -> Validate.transit_legal g config flow p) paths)
 
+(* The kernel on a hand-built snapshot: 0-1-2 is cheap, 0-3-2 dear,
+   and AD 1 refuses to carry traffic arriving from 0. *)
+let search_honours_hops () =
+  let adj =
+    [| [| (1, 1); (3, 5) |]; [| (0, 1); (2, 1) |]; [| (1, 1); (3, 5) |]; [| (0, 5); (2, 5) |] |]
+  in
+  let entries = ref [] in
+  let entry v =
+    entries := v :: !entries;
+    v
+  in
+  let admit v ~prev ~next:_ = not (v = 1 && prev = Some 0) in
+  let path, work = Policy_route.search ~n:4 ~src:0 ~dst:2 ~adj ~entry ~admit () in
+  Alcotest.(check (option (list int))) "detour" (Some [ 0; 3; 2 ]) path;
+  check_bool "work counts settled states" true (work >= 3);
+  check_bool "entry never resolved at src or dst" true
+    (List.for_all (fun v -> v <> 0 && v <> 2) !entries);
+  let path, work = Policy_route.search ~n:4 ~src:1 ~dst:1 ~adj ~entry ~admit () in
+  Alcotest.(check (option (list int))) "src = dst" (Some [ 1 ]) path;
+  check_int "no work" 0 work
+
+let search_rejects_asymmetric_adjacency () =
+  (* 0 lists 1, but 1 does not list 0. *)
+  let adj = [| [| (1, 1) |]; [| (2, 1) |]; [| (1, 1) |] |] in
+  Alcotest.check_raises "one-directional edge"
+    (Invalid_argument "Policy_route.search: adjacency is not symmetric") (fun () ->
+      ignore
+        (Policy_route.search ~n:3 ~src:0 ~dst:2 ~adj ~entry:Fun.id
+           ~admit:(fun _ ~prev:_ ~next:_ -> true)
+           ()))
+
 let qos_metric_shapes () =
   let m q = Pr_proto.Qos_metric.metric q ~cost:4 ~delay:2.5 in
   check_int "default follows cost" 4 (m Pr_policy.Qos.Default);
@@ -401,7 +432,12 @@ let () =
           Alcotest.test_case "respects avoid" `Quick policy_route_respects_avoid;
           Alcotest.test_case "enumerate legal" `Quick policy_route_enumerate_legal;
         ]
-        @ qsuite [ policy_route_respects_policy ] );
+        @ qsuite [ policy_route_respects_policy ]
+        @ [
+            Alcotest.test_case "search honours hops" `Quick search_honours_hops;
+            Alcotest.test_case "search rejects asymmetric adjacency" `Quick
+              search_rejects_asymmetric_adjacency;
+          ] );
       ( "qos-routing",
         [
           Alcotest.test_case "metric shapes" `Quick qos_metric_shapes;

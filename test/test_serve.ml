@@ -10,6 +10,7 @@ module Rng = Pr_util.Rng
 module Lru = Pr_util.Lru
 module Graph = Pr_topology.Graph
 module Path = Pr_topology.Path
+module Link = Pr_topology.Link
 module Figure1 = Pr_topology.Figure1
 module Flow = Pr_policy.Flow
 module Qos = Pr_policy.Qos
@@ -20,6 +21,7 @@ module Config = Pr_policy.Config
 module Gen = Pr_policy.Gen
 module Compiled = Pr_policy.Compiled
 module Policy_store = Pr_policy.Policy_store
+module Validate = Pr_policy.Validate
 module Scenario = Pr_core.Scenario
 module Pdd = Pr_serve.Pdd
 module Serve = Pr_serve.Serve
@@ -381,6 +383,77 @@ let daemon_session_healthy () =
     (r.Daemon.stats.Serve.rebuilt_ads
     < r.Daemon.ads * (r.Daemon.stats.Serve.rebuilds + 1))
 
+(* --- served routes: live, legal, cheapest --------------------------- *)
+
+(* The flow's QOS metric over the cheapest up parallel link from a to
+   b, or None when no up link joins them. *)
+let hop_metric g ~link_up (f : Flow.t) a b =
+  Graph.fold_neighbors g a ~init:None ~f:(fun acc v l ->
+      if v <> b || not (link_up l) then acc
+      else begin
+        let link = Graph.link g l in
+        let m =
+          Pr_proto.Qos_metric.metric f.Flow.qos ~cost:link.Link.cost ~delay:link.Link.delay
+        in
+        match acc with Some m' when m' <= m -> acc | _ -> Some m
+      end)
+
+(* The path's cost under the live topology, or None when it crosses a
+   down AD or a hop with no up link. *)
+let live_cost g ~link_up ~node_up f path =
+  let rec go acc = function
+    | [] -> Some acc
+    | [ last ] -> if node_up last then Some acc else None
+    | a :: (b :: _ as rest) -> (
+        if not (node_up a) then None
+        else
+          match hop_metric g ~link_up f a b with
+          | None -> None
+          | Some m -> go (acc + m) rest)
+  in
+  go 0 path
+
+let served_routes_live_legal_cheapest =
+  QCheck.Test.make ~name:"served routes are live, legal and no dearer than any live legal path"
+    ~count:60 QCheck.small_nat (fun seed ->
+      let rng = Rng.create seed in
+      let target_ads = 10 + Rng.int rng 31 in
+      let policy = if Rng.bool rng then restrictive else Gen.default in
+      let scenario = Scenario.for_size ~policy ~target_ads ~seed () in
+      let g = scenario.Scenario.graph and config = scenario.Scenario.config in
+      let links_down = Array.init (Graph.num_links g) (fun _ -> Rng.chance rng 0.1) in
+      let ads_down = Array.init (Graph.n g) (fun _ -> Rng.chance rng 0.05) in
+      let link_up l = not links_down.(l) and node_up ad = not ads_down.(ad) in
+      let serve = Serve.create ~link_up ~node_up g (Policy_store.create config) in
+      ignore (Serve.refresh serve ~now:0.0);
+      let flows = Scenario.flows scenario ~rng ~count:12 () in
+      List.for_all
+        (fun (f : Flow.t) ->
+          match Serve.query serve ~now:0.0 f with
+          | Serve.No_route _ -> true
+          | Serve.Route { path; _ } -> (
+              let fail why =
+                QCheck.Test.fail_reportf "seed %d, flow %d->%d, path %s: %s" seed f.Flow.src
+                  f.Flow.dst (Path.to_string path) why
+              in
+              if List.hd path <> f.Flow.src || List.nth path (List.length path - 1) <> f.Flow.dst
+              then fail "wrong endpoints"
+              else if not (Path.is_loop_free path) then fail "loops"
+              else if not (Validate.transit_legal g config f path) then fail "not transit-legal"
+              else
+                match live_cost g ~link_up ~node_up f path with
+                | None -> fail "crosses a down AD or link"
+                | Some cost ->
+                    Validate.legal_paths g config f ~max_hops:8 ~limit:2000 ()
+                    |> List.for_all (fun alt ->
+                           match live_cost g ~link_up ~node_up f alt with
+                           | Some alt_cost when alt_cost < cost ->
+                               fail
+                                 (Printf.sprintf "costs %d, but live legal %s costs %d" cost
+                                    (Path.to_string alt) alt_cost)
+                           | _ -> true)))
+        flows)
+
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
 module Tiny_rc = Pr_orwg.Orwg.Make (struct
@@ -477,7 +550,8 @@ let () =
           Alcotest.test_case "handle accounting" `Quick handle_accounting;
           Alcotest.test_case "workload determinism" `Quick workload_deterministic;
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
-        ] );
+        ]
+        @ qsuite [ served_routes_live_legal_cheapest ] );
       ( "orwg-cache",
         [
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;
