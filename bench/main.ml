@@ -1469,6 +1469,35 @@ let static_policy_db (scenario : Scenario.t) =
   done;
   db
 
+(* The pre-compilation admission check: [List.exists] over the AD's
+   raw Policy Terms, straight off the database. *)
+let interpreted_admits db ad flow ~prev ~next =
+  let ctx = { Pr_policy.Policy_term.flow; prev; next } in
+  List.exists (fun term -> Pr_policy.Policy_term.admits term ctx) (Pr_proto.Lsdb.terms_of db ad)
+
+(* [Policy_route.shortest] with interpreted admission: the same search
+   over the same bidirectionally confirmed, QOS-weighted adjacency. *)
+let interpreted_shortest db ~n flow =
+  let adj =
+    Array.init n (fun u ->
+        match Pr_proto.Lsdb.get db u with
+        | None -> [||]
+        | Some lsa ->
+          Array.of_list
+            (List.filter_map
+               (fun (a : Pr_proto.Lsdb.adjacency) ->
+                 let v = a.Pr_proto.Lsdb.nbr in
+                 if v < 0 || v >= n then None
+                 else
+                   Option.map
+                     (fun m -> (v, m))
+                     (Pr_proto.Lsdb.bidirectional_metric db flow.Flow.qos u v))
+               lsa.Pr_proto.Lsdb.adjacencies))
+  in
+  Pr_proto.Policy_route.search ~n ~src:flow.Flow.src ~dst:flow.Flow.dst ~adj ~entry:Fun.id
+    ~admit:(fun ad ~prev ~next -> interpreted_admits db ad flow ~prev ~next)
+    ()
+
 (* Route synthesis (the LS-HBH/ORWG kernel: engine build + exact
    (node, arrived-from) search) on one scenario, timed with the
    interpreted admission path and again with the compiled one. Returns
@@ -1478,35 +1507,18 @@ let policy_synth_measure (scenario : Scenario.t) =
   let n = Graph.n g in
   let db = static_policy_db scenario in
   let flows = Scenario.flows scenario ~rng:(Rng.create 213) ~count:10 () in
-  let synthesize_all () =
-    List.iter
-      (fun flow ->
-        let e = Pr_proto.Policy_route.engine db ~n flow in
-        ignore (Pr_proto.Policy_route.shortest e ()))
-      flows
-  in
-  let forced flag () =
-    Pr_proto.Policy_route.force_interpreted := flag;
-    Fun.protect
-      ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-      synthesize_all
-  in
+  let compiled flow = Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) () in
+  let interpreted flow = interpreted_shortest db ~n flow in
   (* Both paths must synthesize identical routes — the equivalence the
      qcheck suite proves term-by-term, re-checked here end-to-end. *)
   List.iter
     (fun flow ->
-      let route forced =
-        Pr_proto.Policy_route.force_interpreted := forced;
-        Fun.protect
-          ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-          (fun () ->
-            fst (Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) ()))
-      in
-      if route true <> route false then
+      if fst (interpreted flow) <> fst (compiled flow) then
         failwith "policy_synth_measure: interpreted and compiled routes differ")
     flows;
+  let all synthesize () = List.iter (fun flow -> ignore (synthesize flow)) flows in
   let interp_ns, compiled_ns =
-    time_pair_ns_per ~ops:(List.length flows) (forced true) (forced false)
+    time_pair_ns_per ~ops:(List.length flows) (all interpreted) (all compiled)
   in
   (List.length flows, interp_ns, compiled_ns)
 
@@ -1852,8 +1864,7 @@ let synth () =
    Measure it in isolation on a restrictive internet, three ways:
 
    - interpreted: [List.exists Policy_term.admits] over the raw terms
-     (the pre-compilation engine, kept alive behind
-     [Policy_route.force_interpreted]);
+     (the pre-compilation engine, [interpreted_admits]);
    - compiled:    [Compiled.allows] — int masks + bitset probes, no
                   per-flow setup;
    - specialized: the [Policy_route.engine] path — flow-only
@@ -1912,11 +1923,16 @@ let padmit () =
       flows;
     !c
   in
-  let with_interpreted f =
-    Pr_proto.Policy_route.force_interpreted := true;
-    Fun.protect
-      ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-      f
+  let count_interpreted () =
+    let c = ref 0 in
+    List.iter
+      (fun flow ->
+        List.iter
+          (fun (ad, p, q) ->
+            if interpreted_admits db ad flow ~prev:(Some p) ~next:(Some q) then incr c)
+          probes)
+      flows;
+    !c
   in
   let pdd_store = Pr_serve.Pdd.store_create () in
   let roots =
@@ -1949,11 +1965,11 @@ let padmit () =
   in
   (* All variants must agree before any of them is timed. *)
   let admitted = count_engine () in
-  if count_compiled () <> admitted || with_interpreted count_engine <> admitted then
+  if count_compiled () <> admitted || count_interpreted () <> admitted then
     failwith "padmit: admission variants disagree";
   if count_diagram () <> admitted || count_diagram_entry () <> admitted then
     failwith "padmit: decision diagram disagrees with the term engines";
-  let interp_ns = with_interpreted (fun () -> time_ns_per ~ops (fun () -> ignore (count_engine ()))) in
+  let interp_ns = time_ns_per ~ops (fun () -> ignore (count_interpreted ())) in
   let compiled_ns = time_ns_per ~ops (fun () -> ignore (count_compiled ())) in
   let spec_ns = time_ns_per ~ops (fun () -> ignore (count_engine ())) in
   let diagram_ns = time_ns_per ~ops (fun () -> ignore (count_diagram ())) in

@@ -67,6 +67,18 @@ let scenario_of ~seed ~size ~restrictiveness ~granularity =
   in
   Pr_core.Scenario.for_size ~policy ~target_ads:size ~seed ()
 
+(* Dump the flight recorder with a registry snapshot to [path] as a
+   post-mortem, unless [path] is "none". *)
+let dump_post_mortem ~path reason =
+  if path <> "none" then begin
+    let module Reg = Pr_telemetry.Registry in
+    Pr_telemetry.Alloc.sample ();
+    Pr_obs.Trace.dump Pr_obs.Trace.flight
+      ~metrics:(Reg.snapshot_to_json (Reg.snapshot Reg.default))
+      ~reason ~path;
+    Printf.printf "post-mortem: %s\n" path
+  end
+
 (* --- design-space ------------------------------------------------- *)
 
 let design_space_cmd =
@@ -746,18 +758,10 @@ let chaos_cmd =
           Printf.printf "report: %s\n" path)
         report_path;
       if report.Pr_faults.Chaos.violations <> [] then begin
-        (if post_mortem <> "none" then begin
-           let module T = Pr_telemetry in
-           let first = List.hd report.Pr_faults.Chaos.violations in
-           T.Alloc.sample ();
-           T.Flight.dump T.Flight.global
-             ~metrics:(T.Registry.snapshot T.Registry.default)
-             ~reason:
-               (Printf.sprintf "chaos invariant violation: [%s] %s"
-                  first.Pr_faults.Chaos.kind first.Pr_faults.Chaos.detail)
-             ~path:post_mortem;
-           Printf.printf "post-mortem: %s\n" post_mortem
-         end);
+        let first = List.hd report.Pr_faults.Chaos.violations in
+        dump_post_mortem ~path:post_mortem
+          (Printf.sprintf "chaos invariant violation: [%s] %s" first.Pr_faults.Chaos.kind
+             first.Pr_faults.Chaos.detail);
         exit 1
       end
   in
@@ -925,30 +929,18 @@ let serve_cmd =
        Printf.printf "metrics: %s\n" metrics_out
      end);
     if not (List.for_all Pr_serve.Daemon.healthy reports) then begin
-      (if post_mortem <> "none" then begin
-         let module T = Pr_telemetry in
-         let sick =
-           List.filter (fun r -> not (Pr_serve.Daemon.healthy r)) reports
-         in
-         let describe (r : Pr_serve.Daemon.report) =
-           Printf.sprintf "size %d: %s" r.Pr_serve.Daemon.ads
-             (match r.Pr_serve.Daemon.self_check_error with
-             | Some e -> e
-             | None ->
-               if r.Pr_serve.Daemon.agreement_failures > 0 then
-                 Printf.sprintf "%d admission disagreements"
-                   r.Pr_serve.Daemon.agreement_failures
-               else "no queries answered")
-         in
-         T.Alloc.sample ();
-         T.Flight.dump T.Flight.global
-           ~metrics:(T.Registry.snapshot T.Registry.default)
-           ~reason:
-             ("serve health-check failure: "
-             ^ String.concat "; " (List.map describe sick))
-           ~path:post_mortem;
-         Printf.printf "post-mortem: %s\n" post_mortem
-       end);
+      let sick = List.filter (fun r -> not (Pr_serve.Daemon.healthy r)) reports in
+      let describe (r : Pr_serve.Daemon.report) =
+        Printf.sprintf "size %d: %s" r.Pr_serve.Daemon.ads
+          (match r.Pr_serve.Daemon.self_check_error with
+          | Some e -> e
+          | None ->
+            if r.Pr_serve.Daemon.agreement_failures > 0 then
+              Printf.sprintf "%d admission disagreements" r.Pr_serve.Daemon.agreement_failures
+            else "no queries answered")
+      in
+      dump_post_mortem ~path:post_mortem
+        ("serve health-check failure: " ^ String.concat "; " (List.map describe sick));
       exit 1
     end
   in

@@ -65,8 +65,7 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
   in
   let note time what =
     t.log <- (time, what) :: t.log;
-    Pr_telemetry.Flight.note Pr_telemetry.Flight.global ~ts:time ~detail:what
-      "nemesis.fault";
+    Trace.note Trace.flight ~ts:time ~detail:what "nemesis.fault";
     Log.info (fun m -> m "t=%.2f %s" time what)
   in
   let instant ~tid name =

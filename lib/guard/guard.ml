@@ -24,7 +24,7 @@
 
 module Engine = Pr_sim.Engine
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
+module Trace = Pr_obs.Trace
 
 let log_src = Logs.Src.create "pr.guard" ~doc:"Update guard"
 
@@ -181,7 +181,7 @@ let rec try_readmit t p ~at ~nbr () =
       set_active t (t.active - 1);
       t.readmissions <- t.readmissions + 1;
       Reg.inc m_readmissions;
-      Flight.note Flight.global ~ts:now
+      Trace.note Trace.flight ~ts:now
         ~detail:(Printf.sprintf "ad %d readmitted neighbor %d" at nbr)
         "guard.readmit";
       Log.debug (fun m -> m "t=%.2f ad %d readmits neighbor %d" now at nbr);
@@ -197,7 +197,7 @@ let quarantine t p ~at ~nbr ~reason =
     t.quarantines <- t.quarantines + 1;
     Reg.inc m_quarantines;
     set_active t (t.active + 1);
-    Flight.note Flight.global ~ts:now
+    Trace.note Trace.flight ~ts:now
       ~detail:(Printf.sprintf "ad %d quarantined neighbor %d: %s" at nbr reason)
       "guard.quarantine";
     Log.info (fun m ->
@@ -225,7 +225,7 @@ let screen t ~at ~from verdict =
       | Error reason ->
         t.rejected <- t.rejected + 1;
         Reg.inc m_rejected;
-        Flight.note Flight.global ~ts:(Engine.now t.engine)
+        Trace.note Trace.flight ~ts:(Engine.now t.engine)
           ~detail:
             (Printf.sprintf "ad %d rejected update from %d: %s" at from reason)
           "guard.reject";

@@ -1,6 +1,5 @@
 module Graph = Pr_topology.Graph
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Packet = Pr_proto.Packet
 module Lsdb = Pr_proto.Lsdb
@@ -98,7 +97,6 @@ let run_spf t ad ~version =
   in
   drain ();
   t.spf_count <- t.spf_count + 1;
-  Metrics.record_computation (Network.metrics t.net) ad ~work:!work ();
   Pr_proto.Probe.computation probe_spf t.net ~at:ad ~work:!work ();
   t.nodes.(ad).next_hops <- first_hop;
   t.nodes.(ad).computed_version <- version

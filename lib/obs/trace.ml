@@ -4,43 +4,52 @@ type kind = Begin | End | Instant | Counter | Complete
 
 type t = {
   mutable on : bool;
+  ring : bool; (* when full: overwrite the oldest event, else drop the newest *)
   capacity : int;
   kinds : kind array;
   ts : float array;
-  dur : float array;
   tid : int array;
   names : string array;
-  values : float array;
-  mutable len : int;
+  values : float array; (* a counter's sample, a complete span's duration *)
+  details : string array;
+  mutable head : int; (* events stored so far; the next slot is head mod capacity *)
   mutable dropped : int;
 }
 
-let create ?(capacity = 1 lsl 18) () =
+let make ~ring capacity =
   let capacity = Stdlib.max 1 capacity in
   {
     on = true;
+    ring;
     capacity;
     kinds = Array.make capacity Instant;
     ts = Array.make capacity 0.0;
-    dur = Array.make capacity 0.0;
     tid = Array.make capacity 0;
     names = Array.make capacity "";
     values = Array.make capacity 0.0;
-    len = 0;
+    details = Array.make capacity "";
+    head = 0;
     dropped = 0;
   }
+
+let create ?(capacity = 1 lsl 18) () = make ~ring:false capacity
+
+let ring ~capacity = make ~ring:true capacity
+
+let flight = ring ~capacity:1024
 
 let disabled =
   {
     on = false;
+    ring = false;
     capacity = 0;
     kinds = [||];
     ts = [||];
-    dur = [||];
     tid = [||];
     names = [||];
     values = [||];
-    len = 0;
+    details = [||];
+    head = 0;
     dropped = 0;
   }
 
@@ -48,45 +57,70 @@ let enabled t = t.on
 
 let set_enabled t on = if t.capacity > 0 then t.on <- on
 
-let length t = t.len
+let length t = Stdlib.min t.head t.capacity
 
 let dropped t = t.dropped
 
+let total t = t.head + t.dropped
+
 let clear t =
-  t.len <- 0;
+  t.head <- 0;
   t.dropped <- 0
 
 (* The one hot-path entry point: a single branch on [on] when tracing
-   is off, one bounds check and six array stores when it is on. Events
-   past capacity are counted, not stored (dropping new events keeps
-   every recorded End matched to a recorded Begin). *)
-let record t kind ~ts ~dur ~tid ~value name =
+   is off, one bounds check and six array stores when it is on. A
+   full export buffer counts new events instead of storing them
+   (dropping new events keeps every recorded End matched to a recorded
+   Begin); a full ring overwrites its oldest event. *)
+let record t kind ~ts ~tid ~value ~detail name =
   if t.on then begin
-    if t.len >= t.capacity then t.dropped <- t.dropped + 1
+    if t.head >= t.capacity && not t.ring then t.dropped <- t.dropped + 1
     else begin
-      let i = t.len in
+      let i = if t.head < t.capacity then t.head else t.head mod t.capacity in
       t.kinds.(i) <- kind;
       t.ts.(i) <- ts;
-      t.dur.(i) <- dur;
       t.tid.(i) <- tid;
       t.names.(i) <- name;
       t.values.(i) <- value;
-      t.len <- i + 1
+      t.details.(i) <- detail;
+      t.head <- t.head + 1
     end
   end
 
-let span_begin t ~ts ~tid name = record t Begin ~ts ~dur:0.0 ~tid ~value:0.0 name
+let span_begin t ~ts ~tid name = record t Begin ~ts ~tid ~value:0.0 ~detail:"" name
 
-let span_end t ~ts ~tid name = record t End ~ts ~dur:0.0 ~tid ~value:0.0 name
+let span_end t ~ts ~tid name = record t End ~ts ~tid ~value:0.0 ~detail:"" name
 
-let instant t ~ts ~tid name = record t Instant ~ts ~dur:0.0 ~tid ~value:0.0 name
+let instant t ~ts ~tid name = record t Instant ~ts ~tid ~value:0.0 ~detail:"" name
 
-let counter t ~ts ~tid ~value name = record t Counter ~ts ~dur:0.0 ~tid ~value name
+let counter t ~ts ~tid ~value name = record t Counter ~ts ~tid ~value ~detail:"" name
 
-let complete t ~ts ~dur ~tid name = record t Complete ~ts ~dur ~tid ~value:0.0 name
+let complete t ~ts ~dur ~tid name = record t Complete ~ts ~tid ~value:dur ~detail:"" name
 
-(* --- Chrome trace-event export ------------------------------------- *)
+(* [flight] is process-wide and a caller may note from several domains
+   at once, so notes are serialised. Uncontended lock cost is
+   negligible next to the string formatting every caller already does,
+   and notes are off the per-event hot path. *)
+let note_mutex = Mutex.create ()
 
+let note ?(tid = 0) ?(value = 0.0) ?(detail = "") t ~ts name =
+  if t.on then begin
+    Mutex.lock note_mutex;
+    record t Instant ~ts ~tid ~value ~detail name;
+    Mutex.unlock note_mutex
+  end
+
+(* Slots of the stored events, oldest first. *)
+let slots t =
+  let n = length t in
+  List.init n (fun k -> (t.head - n + k) mod t.capacity)
+
+(* --- export --------------------------------------------------------- *)
+
+let phase = function Begin -> "B" | End -> "E" | Instant -> "i" | Counter -> "C" | Complete -> "X"
+
+(* The one event encoder, shared by the Chrome and post-mortem
+   documents: name/ph/ts/pid/tid, then the document's own fields. *)
 let event ~name ~ph ~ts ~tid extra =
   J.Obj
     ([
@@ -110,26 +144,29 @@ let to_json t =
   let events = ref [] in
   let emit e = events := e :: !events in
   let last_ts = ref 0.0 in
-  for i = 0 to t.len - 1 do
-    let name = t.names.(i) and ts = t.ts.(i) and tid = t.tid.(i) in
-    last_ts := ts;
-    match t.kinds.(i) with
-    | Begin ->
-      push tid name;
-      emit (event ~name ~ph:"B" ~ts ~tid [])
-    | End -> (
-      (* A stray End (no matching Begin on this tid) is recorder misuse;
-         skip it rather than emit an unbalanced document. *)
-      match Hashtbl.find_opt stacks tid with
-      | Some (top :: rest) when top = name ->
-        Hashtbl.replace stacks tid rest;
-        emit (event ~name ~ph:"E" ~ts ~tid [])
-      | _ -> ())
-    | Instant -> emit (event ~name ~ph:"i" ~ts ~tid [ ("s", J.String "t") ])
-    | Counter ->
-      emit (event ~name ~ph:"C" ~ts ~tid [ ("args", J.Obj [ (name, J.Float t.values.(i)) ]) ])
-    | Complete -> emit (event ~name ~ph:"X" ~ts ~tid [ ("dur", J.Float t.dur.(i)) ])
-  done;
+  List.iter
+    (fun i ->
+      let name = t.names.(i) and ts = t.ts.(i) and tid = t.tid.(i) in
+      let ph = phase t.kinds.(i) in
+      last_ts := ts;
+      match t.kinds.(i) with
+      | Begin ->
+        push tid name;
+        emit (event ~name ~ph ~ts ~tid [])
+      | End -> (
+        (* A stray End (no matching Begin on this tid) is recorder
+           misuse, or its Begin was overwritten; skip it rather than
+           emit an unbalanced document. *)
+        match Hashtbl.find_opt stacks tid with
+        | Some (top :: rest) when top = name ->
+          Hashtbl.replace stacks tid rest;
+          emit (event ~name ~ph ~ts ~tid [])
+        | _ -> ())
+      | Instant -> emit (event ~name ~ph ~ts ~tid [ ("s", J.String "t") ])
+      | Counter ->
+        emit (event ~name ~ph ~ts ~tid [ ("args", J.Obj [ (name, J.Float t.values.(i)) ]) ])
+      | Complete -> emit (event ~name ~ph ~ts ~tid [ ("dur", J.Float t.values.(i)) ]))
+    (slots t);
   Hashtbl.iter
     (fun tid stack ->
       List.iter (fun name -> emit (event ~name ~ph:"E" ~ts:!last_ts ~tid [])) stack)
@@ -141,11 +178,35 @@ let to_json t =
       ("otherData", J.Obj [ ("dropped_events", J.Int t.dropped) ]);
     ]
 
-let write ~path t =
+let write_doc ~path doc =
   let oc = open_out path in
-  output_string oc (J.to_string (to_json t));
+  output_string oc (J.to_string doc);
   output_char oc '\n';
   close_out oc
+
+let write ~path t = write_doc ~path (to_json t)
+
+(* Post-mortem events carry their detail and any non-zero value as
+   args. *)
+let post_mortem_event t i =
+  let args =
+    (if t.details.(i) = "" then [] else [ ("detail", J.String t.details.(i)) ])
+    @ if t.values.(i) = 0.0 then [] else [ ("value", J.Float t.values.(i)) ]
+  in
+  event ~name:t.names.(i) ~ph:(phase t.kinds.(i)) ~ts:t.ts.(i) ~tid:t.tid.(i)
+    (if args = [] then [] else [ ("args", J.Obj args) ])
+
+let dump ?metrics ~reason ~path t =
+  write_doc ~path
+    (J.Obj
+       ([
+          ("document", J.String "post-mortem");
+          ("reason", J.String reason);
+          ("recorded", J.Int (total t));
+          ("capacity", J.Int t.capacity);
+          ("events", J.List (List.map (post_mortem_event t) (slots t)));
+        ]
+       @ match metrics with None -> [] | Some m -> [ ("metrics", m) ]))
 
 (* --- validation ----------------------------------------------------- *)
 

@@ -1,15 +1,32 @@
-(** Structured event recorder with Chrome trace-event export.
+(** Structured event recorder: one struct-of-arrays buffer with two
+    retentions, Chrome trace-event export and post-mortem dumps.
 
-    A recorder is a preallocated struct-of-arrays buffer; every record
-    call behind a disabled recorder is a single branch on one bool, so
-    instrumented hot paths stay allocation-free. When the buffer fills,
-    new events are counted as dropped rather than stored — recorded
-    spans therefore never lose their [span_begin] to overwrite. *)
+    Every record call behind a disabled recorder is a single branch on
+    one bool, so instrumented hot paths stay allocation-free. What
+    happens when the buffer fills is fixed when it is built:
+
+    - {!create} builds an export buffer, sized for a whole run, that
+      counts new events as dropped once full — recorded spans
+      therefore never lose their [span_begin] to overwrite;
+    - {!ring} builds a small recorder that overwrites its oldest
+      event, so it always holds the moments leading up to a failure.
+
+    {!flight} is the process-global always-on ring. Chaos invariant
+    violations, nemesis faults, link and node state changes, guard
+    verdicts, serve self-check failures and engine budget exhaustion
+    all {!note} into it, and {!dump} writes it out as a post-mortem. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Fresh enabled recorder. [capacity] defaults to [1 lsl 18] events. *)
+(** Fresh enabled export buffer that drops the newest events when
+    full. [capacity] defaults to [1 lsl 18] events. *)
+
+val ring : capacity:int -> t
+(** Fresh enabled ring that overwrites the oldest event when full. *)
+
+val flight : t
+(** The process-global flight recorder: a 1024-event {!ring}. *)
 
 val disabled : t
 (** The shared permanently-disabled recorder: every record call on it
@@ -22,10 +39,14 @@ val set_enabled : t -> bool -> unit
 (** No effect on [disabled]. *)
 
 val length : t -> int
-(** Events currently stored. *)
+(** Events currently stored (at most the capacity). *)
 
 val dropped : t -> int
-(** Events discarded because the buffer was full. *)
+(** Events an export buffer discarded because it was full; always 0
+    for a ring. *)
+
+val total : t -> int
+(** Events ever recorded, including dropped and overwritten ones. *)
 
 val clear : t -> unit
 
@@ -44,14 +65,27 @@ val complete : t -> ts:float -> dur:float -> tid:int -> string -> unit
     duration. Used for route computations, where [dur] is the work
     charge rather than elapsed time. *)
 
+val note : ?tid:int -> ?value:float -> ?detail:string -> t -> ts:float -> string -> unit
+(** Record one instant with a free-form [detail] and an optional
+    [value] (both shown as args in the post-mortem). Notes are
+    serialised by a process-wide lock, so several domains may note
+    into {!flight} at once. [tid] defaults to 0. *)
+
 val to_json : t -> Pr_util.Json.t
 (** Chrome trace-event document ([{"traceEvents": [...]}]) loadable in
     Perfetto / chrome://tracing. Events appear in record order, so
     timestamps are monotone; spans still open at export are closed at
-    the last recorded timestamp so begin/end pairs always balance. *)
+    the last recorded timestamp so begin/end pairs always balance (an
+    end whose begin a ring overwrote is skipped). *)
 
 val write : path:string -> t -> unit
 (** [to_json] serialised to [path], newline-terminated. *)
+
+val dump : ?metrics:Pr_util.Json.t -> reason:string -> path:string -> t -> unit
+(** Write the post-mortem document to [path], newline-terminated:
+    [{"document": "post-mortem", "reason", "recorded" (= {!total}),
+    "capacity", "events"}], the stored events oldest first, plus
+    [metrics] (an already-encoded registry snapshot) when given. *)
 
 val validate_json : Pr_util.Json.t -> (unit, string) result
 (** Check a parsed trace document for the invariants [to_json]

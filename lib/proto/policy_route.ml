@@ -1,13 +1,6 @@
 module Flow = Pr_policy.Flow
-module Policy_term = Pr_policy.Policy_term
 module Compiled = Pr_policy.Compiled
 module Pqueue = Pr_util.Pqueue
-
-(* Benchmark escape hatch: route synthesis through the pre-compilation
-   interpreted path (List.exists over Policy_term lists straight off
-   the database). Exists so the policy-admit microbenchmark can
-   measure both paths in one binary; never set outside bench. *)
-let force_interpreted = ref false
 
 type engine = {
   db : Lsdb.t;
@@ -30,14 +23,7 @@ let spec_for e ad =
     e.specs.(ad) <- Some s;
     s
 
-let interpreted_admits db ad flow ~prev ~next =
-  let terms = Lsdb.terms_of db ad in
-  let ctx = { Policy_term.flow; prev; next } in
-  List.exists (fun term -> Policy_term.admits term ctx) terms
-
-let admits e ad ~prev ~next =
-  if !force_interpreted then interpreted_admits e.db ad e.flow ~prev ~next
-  else Compiled.spec_allows (spec_for e ad) ~prev ~next
+let admits e ad ~prev ~next = Compiled.spec_allows (spec_for e ad) ~prev ~next
 
 (* Neighbors of u according to the database, bidirectionally
    confirmed, weighted by the flow's QOS metric: the per-QOS route

@@ -44,13 +44,6 @@ val path_admitted : engine -> Pr_topology.Path.t -> bool
 (** Every interior crossing of the path is admitted — what ORWG checks
     before re-using a cached source route. *)
 
-val force_interpreted : bool ref
-(** When true, {!admits} (and so every search) re-interprets the raw
-    [Policy_term.t] lists with [List.exists] instead of probing the
-    compiled specialization — the pre-compilation code path, kept
-    alive so the policy-admit microbenchmark can compare both in one
-    binary. Defaults to false; do not set outside [bench]. *)
-
 val search :
   n:int ->
   src:Pr_topology.Ad.id ->

@@ -1,7 +1,6 @@
 module Pqueue = Pr_util.Pqueue
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
 
 let log_src = Logs.Src.create "pr.engine" ~doc:"Discrete-event engine"
 
@@ -67,7 +66,7 @@ let run ?(max_events = 10_000_000) t =
       Log.warn (fun m ->
           m "event limit reached: %d events executed, %d still pending at t=%g"
             t.executed (Pqueue.length t.queue) t.clock);
-      Flight.note Flight.global ~ts:t.clock
+      Trace.note Trace.flight ~ts:t.clock
         ~value:(float_of_int (Pqueue.length t.queue))
         ~detail:"event budget exhausted with work pending"
         "engine.reached_limit";

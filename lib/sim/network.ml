@@ -3,7 +3,6 @@ module Link = Pr_topology.Link
 module Rng = Pr_util.Rng
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
 
 (* Debug tracing: enable with Logs.Src.set_level Network.log_src
    (Some Logs.Debug) and a reporter. Off by default and free when
@@ -159,7 +158,7 @@ let set_link_state t lid ~up =
     if Trace.enabled t.trace then
       Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:l.Link.a
         (if up then "link.up" else "link.down");
-    Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:l.Link.a
+    Trace.note Trace.flight ~ts:(Engine.now t.engine) ~tid:l.Link.a
       ~detail:(Printf.sprintf "link %d--%d" l.Link.a l.Link.b)
       (if up then "link.up" else "link.down");
     Log.info (fun m ->
@@ -175,7 +174,7 @@ let set_node_state t ad ~up =
     if Trace.enabled t.trace then
       Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:ad
         (if up then "node.up" else "node.down");
-    Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:ad
+    Trace.note Trace.flight ~ts:(Engine.now t.engine) ~tid:ad
       ~detail:(Printf.sprintf "AD %d" ad)
       (if up then "node.up" else "node.down");
     Log.info (fun m ->

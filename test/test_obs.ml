@@ -48,15 +48,49 @@ let disabled_records_nothing =
 
 let export_always_valid =
   (* Whatever op sequence is recorded — including unmatched begins and
-     stray ends — the export must parse, stay monotone and balance. *)
+     stray ends — the export must parse, stay monotone and balance,
+     under either retention. The small ring overwrites begins whose
+     ends it keeps. *)
   QCheck.Test.make ~name:"export of any op sequence validates" ~count:50
     QCheck.(list (int_bound 4))
     (fun ops ->
-      let t = Trace.create ~capacity:256 () in
-      List.iteri (fun i op -> apply_op t i op) ops;
-      match Trace.validate_json (Trace.to_json t) with
-      | Ok () -> true
-      | Error _ -> false)
+      List.for_all
+        (fun t ->
+          List.iteri (fun i op -> apply_op t i op) ops;
+          match Trace.validate_json (Trace.to_json t) with
+          | Ok () -> true
+          | Error _ -> false)
+        [ Trace.create ~capacity:256 (); Trace.ring ~capacity:16 ])
+
+(* Timestamps of the stored events, oldest first, read back from the
+   export. *)
+let stamps t =
+  match J.member "traceEvents" (Trace.to_json t) with
+  | Some (J.List evs) -> List.map (fun ev -> Result.get_ok (J.float_member "ts" ev)) evs
+  | _ -> []
+
+let retention_keeps_its_end =
+  QCheck.Test.make ~name:"ring keeps the last events, export buffer the first"
+    ~count:100
+    QCheck.(pair (int_bound 40) (int_range 1 16))
+    (fun (k, c) ->
+      let fill t =
+        for i = 0 to k - 1 do
+          Trace.instant t ~ts:(float_of_int i) ~tid:0 "e"
+        done;
+        t
+      in
+      let ring = fill (Trace.ring ~capacity:c) in
+      let buf = fill (Trace.create ~capacity:c ()) in
+      let kept = min k c in
+      stamps ring = List.init kept (fun j -> float_of_int (k - kept + j))
+      && Trace.length ring = kept
+      && Trace.total ring = k
+      && Trace.dropped ring = 0
+      && stamps buf = List.init kept float_of_int
+      && Trace.length buf = kept
+      && Trace.dropped buf = max 0 (k - c)
+      && Trace.total buf = k)
 
 let recorder_basics () =
   let t = Trace.create ~capacity:16 () in
@@ -287,7 +321,7 @@ let () =
           Alcotest.test_case "validator rejects bad documents" `Quick
             validator_rejects_bad_documents;
         ]
-        @ qsuite [ disabled_records_nothing; export_always_valid ] );
+        @ qsuite [ disabled_records_nothing; export_always_valid; retention_keeps_its_end ] );
       ( "interference",
         List.map
           (fun name ->
