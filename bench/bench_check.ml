@@ -127,9 +127,6 @@ let check_serve_file file doc =
         "qps";
         "p50_ns";
         "p99_ns";
-        "admit_ns";
-        "spec_admit_ns";
-        "admit_probes";
         "build_ns";
         "rebuilds";
         "rebuilt_ads";

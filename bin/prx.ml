@@ -828,13 +828,6 @@ let serve_cmd =
       & opt float Pr_serve.Daemon.default_config.Pr_serve.Daemon.flip_every
       & info [ "flip-every" ] ~docv:"T" ~doc)
   in
-  let route_capacity_arg =
-    let doc = "Route-cache capacity (LRU entries)." in
-    Arg.(
-      value
-      & opt int Pr_serve.Daemon.default_config.Pr_serve.Daemon.route_capacity
-      & info [ "route-capacity" ] ~docv:"N" ~doc)
-  in
   let handle_capacity_arg =
     let doc = "Handle-table capacity (LRU entries)." in
     Arg.(
@@ -868,7 +861,7 @@ let serve_cmd =
     Arg.(value & opt string "prx-postmortem.json" & info [ "post-mortem" ] ~docv:"FILE" ~doc)
   in
   let run () seed sizes restrictiveness granularity duration batch interval plan_str
-      flip_every route_capacity handle_capacity check_every out metrics_out post_mortem =
+      flip_every handle_capacity check_every out metrics_out post_mortem =
     let plan =
       match Pr_faults.Plan.profile plan_str with
       | Some p -> p
@@ -896,7 +889,6 @@ let serve_cmd =
               plan;
               plan_name = plan_str;
               flip_every;
-              route_capacity;
               handle_capacity;
               check_every;
               policy =
@@ -949,11 +941,11 @@ let serve_cmd =
        ~doc:
          "Run the route-server query daemon on a simulated request stream concurrent \
           with fault-plan churn and policy flips; measures qps, query latency, diagram \
-          rebuild latency and cache hit rates, and exits 1 on any health-check failure.")
+          rebuild latency and handle hit rates, and exits 1 on any health-check failure.")
     Term.(
       const run $ logs_term $ seed_arg $ sizes_arg $ restrictiveness_arg
       $ granularity_arg $ duration_arg $ batch_arg $ interval_arg $ plan_arg
-      $ flip_every_arg $ route_capacity_arg $ handle_capacity_arg $ check_every_arg
+      $ flip_every_arg $ handle_capacity_arg $ check_every_arg
       $ out_arg $ metrics_arg $ post_mortem_arg)
 
 (* --- stats ---------------------------------------------------------- *)

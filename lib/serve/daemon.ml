@@ -31,7 +31,6 @@ type config = {
   plan : Plan.t;
   plan_name : string;
   flip_every : float;
-  route_capacity : int;
   handle_capacity : int;
   check_every : int;
   policy : Gen.params;
@@ -53,7 +52,6 @@ let default_config =
     plan = Plan.default;
     plan_name = "default";
     flip_every = 4.0;
-    route_capacity = 4096;
     handle_capacity = 1024;
     check_every = 16;
     policy = restrictive;
@@ -71,10 +69,6 @@ type report = {
   qps : float;
   p50_ns : float;
   p99_ns : float;
-  admit_ns : float;
-  spec_admit_ns : float;
-  admit_probes : int;
-  admit_alloc_w : float;
   handle_hit_rate : float;
   stats : Serve.stats;
   rebuild_p50_ns : float;
@@ -100,30 +94,6 @@ type report = {
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-(* Min-of-batches wall-clock timing (the bench/main.ml estimator, on
-   the monotonic clock): preemption and GC only ever inflate a batch,
-   so the minimum is the noise-robust per-op figure. *)
-let time_ns_per ~ops f =
-  f ();
-  Gc.full_major ();
-  let best = ref infinity in
-  for _batch = 1 to 5 do
-    let reps = ref 0 in
-    let t0 = now_ns () in
-    let elapsed = ref 0.0 in
-    while !reps < 2 || (!elapsed < 2e7 && !reps < 100) do
-      f ();
-      incr reps;
-      elapsed := now_ns () -. t0
-    done;
-    let per = !elapsed /. (float_of_int !reps *. float_of_int ops) in
-    if per < !best then best := per
-  done;
-  !best
-
-(* One admission probe: an interior crossing some answered route made. *)
-type probe = { p_ad : int; p_flow : Flow.t; p_prev : int option; p_next : int option }
-
 let run cfg =
   let scenario =
     Scenario.for_size ~policy:cfg.policy ~target_ads:cfg.target_ads ~seed:cfg.seed ()
@@ -140,16 +110,14 @@ let run cfg =
   (* Update guard over the link-event stream: flap damping quarantines
      a chattering adjacency, and any active quarantine switches the
      serving loop to serve-stale mode — pin the last healthy database
-     snapshot and, past the deadline, shed the queries that would need
-     a fresh synthesis while still answering from the route cache. *)
+     snapshot and, past the deadline, shed every query. *)
   let guard = Guard.create ~engine ~n ~on_readmit:(fun ~at:_ ~nbr:_ -> ()) () in
   Network.set_link_handler net (fun ~at ~link ~up ->
       let l = Graph.link graph link in
       Guard.observe_link guard ~at ~nbr:(Pr_topology.Link.other_end l at) ~up);
   let t0_build = now_ns () in
   let serve =
-    Serve.create ~route_capacity:(Some cfg.route_capacity)
-      ~handle_capacity:(Some cfg.handle_capacity)
+    Serve.create ~handle_capacity:(Some cfg.handle_capacity)
       ~link_up:(Network.link_is_up net) ~node_up:(Network.node_is_up net) graph store
   in
   let build_ns = now_ns () -. t0_build in
@@ -208,12 +176,6 @@ let run cfg =
   let answered = ref 0 in
   let agreement_checks = ref 0 in
   let agreement_failures = ref 0 in
-  let probes = Array.make 256 None in
-  let probe_head = ref 0 in
-  let record_probe p =
-    probes.(!probe_head mod Array.length probes) <- Some p;
-    incr probe_head
-  in
   let check_path snap flow path =
     (* Valid only when the snapshot is the store's current version —
        guaranteed on the batch cadence (flips land between batches),
@@ -235,7 +197,6 @@ let run cfg =
                      flow.Flow.src flow.Flow.dst ad d c i)
                 "serve.agreement_failure"
             end;
-            record_probe { p_ad = ad; p_flow = flow; p_prev = prev_o; p_next = next_o };
             scan (ad :: next :: rest)
         | _ -> ()
       in
@@ -275,10 +236,9 @@ let run cfg =
       | Workload.Data rank ->
           if !ring_count > 0 then ignore (Serve.data serve ~now ~handle:(ring_nth rank))
       | Workload.Query flow ->
-          (* Past the degradation deadline only cached answers stay on
-             the menu: a synthesis on the stale database is work the
-             server sheds to keep the cheap queries fast. *)
-          if shedding && not (Serve.cache_ready serve ~snap flow) then begin
+          (* Past the degradation deadline a synthesis on the stale
+             database is work the server sheds. *)
+          if shedding then begin
             incr queries_shed;
             Reg.inc m_sheds
           end
@@ -315,62 +275,8 @@ let run cfg =
     done
   end;
   ignore (Engine.run engine);
-  (* Final catch-up so the post-run audit and microbenchmark see the
-     last flips. *)
+  (* Final catch-up so the post-run audit sees the last flips. *)
   ignore (Serve.refresh serve ~now:cfg.duration);
-  (* Admission microbenchmark over the crossings real answers made:
-     one full diagram walk vs the specialized-bitset baseline. *)
-  let probe_list = Array.to_list probes |> List.filter_map Fun.id in
-  let probe_arr = Array.of_list probe_list in
-  let admit_ns, spec_admit_ns, admit_alloc_w =
-    if Array.length probe_arr = 0 then (0.0, 0.0, 0.0)
-    else begin
-      let snap = Serve.snapshot serve in
-      let specs =
-        Array.map
-          (fun p -> Compiled.specialize (Policy_store.compiled store p.p_ad) p.p_flow)
-          probe_arr
-      in
-      (* The two paths must agree probe by probe (same store version). *)
-      Array.iteri
-        (fun i p ->
-          incr agreement_checks;
-          if
-            Pdd.admit snap ~ad:p.p_ad p.p_flow ~prev:p.p_prev ~next:p.p_next
-            <> Compiled.spec_allows specs.(i) ~prev:p.p_prev ~next:p.p_next
-          then begin
-            incr agreement_failures;
-            Trace.note Trace.flight ~ts:cfg.duration ~tid:p.p_ad
-              ~detail:"microbench probe: diagram vs specialized bitset disagree"
-              "serve.agreement_failure"
-          end)
-        probe_arr;
-      let sink = ref 0 in
-      let ops = Array.length probe_arr in
-      let diagram () =
-        for i = 0 to ops - 1 do
-          let p = Array.unsafe_get probe_arr i in
-          if Pdd.admit snap ~ad:p.p_ad p.p_flow ~prev:p.p_prev ~next:p.p_next then
-            incr sink
-        done
-      in
-      let spec () =
-        for i = 0 to ops - 1 do
-          let p = Array.unsafe_get probe_arr i in
-          if Compiled.spec_allows (Array.unsafe_get specs i) ~prev:p.p_prev ~next:p.p_next
-          then incr sink
-        done
-      in
-      let d = time_ns_per ~ops diagram in
-      let s = time_ns_per ~ops spec in
-      (* Steady-state allocation of the diagram walk (shared GC
-         accounting with bench/main.ml's synth section): the admit hot
-         path is expected to be allocation-free. *)
-      let alloc_w = Alloc.words_per ~ops diagram in
-      ignore !sink;
-      (d, s, alloc_w)
-    end
-  in
   let stats = Serve.stats serve in
   let self_check_error =
     match Serve.self_check serve with
@@ -402,10 +308,6 @@ let run cfg =
        else 0.0);
     p50_ns = Hist.quantile lat_hist 50.0;
     p99_ns = Hist.quantile lat_hist 99.0;
-    admit_ns;
-    spec_admit_ns;
-    admit_probes = Array.length probe_arr;
-    admit_alloc_w;
     handle_hit_rate =
       (let total = stats.Serve.handle_hits + stats.Serve.handle_misses in
        if total = 0 then 0.0 else float_of_int stats.Serve.handle_hits /. float_of_int total);
@@ -448,13 +350,7 @@ let row_json r =
       ("qps", Json.Float r.qps);
       ("p50_ns", Json.Float r.p50_ns);
       ("p99_ns", Json.Float r.p99_ns);
-      ("admit_ns", Json.Float r.admit_ns);
-      ("spec_admit_ns", Json.Float r.spec_admit_ns);
-      ("admit_probes", Json.Int r.admit_probes);
       ("handle_hit_rate", Json.Float r.handle_hit_rate);
-      ("route_hits", Json.Int s.Serve.route_hits);
-      ("route_misses", Json.Int s.Serve.route_misses);
-      ("route_evictions", Json.Int s.Serve.route_evictions);
       ("handle_hits", Json.Int s.Serve.handle_hits);
       ("handle_misses", Json.Int s.Serve.handle_misses);
       ("handle_evictions", Json.Int s.Serve.handle_evictions);
@@ -485,14 +381,12 @@ let row_json r =
       ("batch", Json.Int r.config.batch);
       ("interval", Json.Float r.config.interval);
       ("flip_every", Json.Float r.config.flip_every);
-      ("route_capacity", Json.Int r.config.route_capacity);
       ("handle_capacity", Json.Int r.config.handle_capacity);
       ("check_every", Json.Int r.config.check_every);
       ("restrictiveness", Json.Float r.config.policy.Gen.restrictiveness);
       ( "granularity",
         Json.String (Gen.granularity_to_string r.config.policy.Gen.granularity) );
       ("source_policy_prob", Json.Float r.config.policy.Gen.source_policy_prob);
-      ("admit_alloc_w", Json.Float r.admit_alloc_w);
       ("latency_hist", Hist.to_json r.latency);
     ]
 
@@ -541,7 +435,6 @@ let config_of_row ~seed ~plan ~plan_name row =
     plan;
     plan_name;
     flip_every = num "flip_every" default_config.flip_every;
-    route_capacity = int_f "route_capacity" default_config.route_capacity;
     handle_capacity = int_f "handle_capacity" default_config.handle_capacity;
     check_every = int_f "check_every" default_config.check_every;
     policy =
@@ -590,14 +483,11 @@ let pp_report ppf r =
     "@[<v>serve: %d ADs (%d links), plan=%s, %d flips, %d faults@,\
      queries %d (answered %d, no-route %d), data %d@,\
      qps %.0f  p50 %.0f ns  p99 %.0f ns@,\
-     admit %.1f ns/check (specialized bitsets: %.1f) over %d probes@,\
-     route cache %d/%d hit/miss (%d evicted)  handles %.1f%% hit (%d evicted)@,\
+     handles %.1f%% hit (%d evicted)@,\
      diagrams: %d nodes, %d preds; rebuilds %d (%d ADs), p50 %.0f ns, max %.0f ns@,\
      agreement %d/%d checks failed%a%a@]"
     r.ads r.links r.config.plan_name r.flips r.faults r.queries r.answered r.no_routes
-    r.data_packets r.qps r.p50_ns r.p99_ns r.admit_ns r.spec_admit_ns r.admit_probes
-    s.Serve.route_hits s.Serve.route_misses s.Serve.route_evictions
-    (100.0 *. r.handle_hit_rate)
+    r.data_packets r.qps r.p50_ns r.p99_ns (100.0 *. r.handle_hit_rate)
     s.Serve.handle_evictions r.diagram_nodes r.diagram_preds s.Serve.rebuilds
     s.Serve.rebuilt_ads r.rebuild_p50_ns r.rebuild_max_ns r.agreement_failures
     r.agreement_checks pp_stale r pp_self_check r

@@ -16,10 +16,10 @@
     gracefully into {e serve-stale} mode — it pins the last healthy
     diagram snapshot instead of refreshing into the churning database,
     publishes the pin's age as the [serve.stale_snapshot_age] gauge,
-    and past a deadline of 4 x [interval] sheds the queries that would
-    need a fresh synthesis ([serve.sheds]) while still answering
-    cached ones. Readmission ends the mode and the next batch
-    refreshes to the live version.
+    and past a deadline of 4 x [interval] sheds every query
+    ([serve.sheds]): the server keeps no route cache, so each answer
+    would be a fresh synthesis on a stale database. Readmission ends
+    the mode and the next batch refreshes to the live version.
 
     The operation stream, fault schedule and flip schedule draw from
     independent [Rng.derive] streams of the run seed, so a (seed,
@@ -44,7 +44,6 @@ type config = {
   plan : Pr_faults.Plan.t;
   plan_name : string;  (** for the report only *)
   flip_every : float;  (** simulated time between policy flips; 0 = none *)
-  route_capacity : int;
   handle_capacity : int;
   check_every : int;  (** cross-check every Nth answered query; 0 = never *)
   policy : Pr_policy.Gen.params;
@@ -71,12 +70,6 @@ type report = {
   qps : float;  (** answered queries per wall-clock second of query work *)
   p50_ns : float;
   p99_ns : float;
-  admit_ns : float;  (** one full diagram admit walk, min-of-batches *)
-  spec_admit_ns : float;  (** Compiled.spec_allows on the same probes *)
-  admit_probes : int;
-  admit_alloc_w : float;
-      (** words allocated per diagram admit ({!Pr_telemetry.Alloc});
-          expected 0 *)
   handle_hit_rate : float;
   stats : Serve.stats;
   rebuild_p50_ns : float;  (** incremental refresh latency (0 if none) *)
@@ -95,8 +88,8 @@ type report = {
           last-healthy snapshot instead of refreshing *)
   queries_shed : int;
       (** queries shed past the degradation deadline (4 x interval of
-          staleness): answering them would have taken a fresh synthesis
-          on the stale database, so only cached answers were served *)
+          staleness): every query arriving then is shed, since answering
+          it would take a fresh synthesis on the stale database *)
   max_stale_age : float;
       (** worst simulated-time age of the pinned snapshot ([0.0] when
           the session never went stale); also published as the

@@ -4,40 +4,29 @@ module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Path = Pr_topology.Path
 module Flow = Pr_policy.Flow
-module Qos = Pr_policy.Qos
-module Uci = Pr_policy.Uci
-module Policy_store = Pr_policy.Policy_store
 module Lru = Pr_util.Lru
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
 module Hist = Pr_telemetry.Hist
 
-type entry = { e_path : Path.t; e_version : int }
-
 type t = {
   graph : Graph.t;
-  store : Policy_store.t;
   pdd : Pdd.db;
   link_up : Link.id -> bool;
   node_up : Pr_topology.Ad.id -> bool;
   trace : Trace.t;
-  routes : (int, entry) Lru.t;  (* key: (src,dst,qos,uci,hour,auth) packed *)
   handles : (int, Path.t) Lru.t;
   mutable next_handle : int;
   mutable queries : int;
   mutable data_packets : int;
-  mutable route_hits : int;
-  mutable route_misses : int;
   mutable handle_hits : int;
   mutable handle_misses : int;
   mutable no_routes : int;
   (* Registry handles resolved once at creation; the query path never
      hashes a metric name. These shadow the per-server counters above
-     into the process-global registry so campaign shards and the
-     daemon can snapshot/merge them. *)
+     into the process-global registry so campaigns and the daemon can
+     snapshot them. *)
   m_queries : Reg.counter;
-  m_route_hits : Reg.counter;
-  m_route_misses : Reg.counter;
   m_handle_hits : Reg.counter;
   m_handle_misses : Reg.counter;
   m_no_routes : Reg.counter;
@@ -48,29 +37,22 @@ type t = {
   m_pdd_preds : Reg.gauge;
 }
 
-let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
-    ?(trace = Trace.disabled) ?(link_up = fun _ -> true) ?(node_up = fun _ -> true)
-    graph store =
+let create ?(handle_capacity = Some 1024) ?(trace = Trace.disabled)
+    ?(link_up = fun _ -> true) ?(node_up = fun _ -> true) graph store =
   {
     graph;
-    store;
     pdd = Pdd.db_create store;
     link_up;
     node_up;
     trace;
-    routes = Lru.create ~capacity:route_capacity ();
     handles = Lru.create ~capacity:handle_capacity ();
     next_handle = 0;
     queries = 0;
     data_packets = 0;
-    route_hits = 0;
-    route_misses = 0;
     handle_hits = 0;
     handle_misses = 0;
     no_routes = 0;
     m_queries = Reg.counter Reg.default "serve.queries";
-    m_route_hits = Reg.counter Reg.default "serve.route_hits";
-    m_route_misses = Reg.counter Reg.default "serve.route_misses";
     m_handle_hits = Reg.counter Reg.default "serve.handle_hits";
     m_handle_misses = Reg.counter Reg.default "serve.handle_misses";
     m_no_routes = Reg.counter Reg.default "serve.no_routes";
@@ -99,33 +81,8 @@ let refresh t ~now =
 
 let snapshot t = Pdd.snapshot t.pdd
 
-(* The route-cache key packs every flow attribute admission can see.
-   n <= 10^5 and 63-bit ints leave ample headroom. *)
-let route_key t (f : Flow.t) =
-  let n = Graph.n t.graph in
-  let k = (f.Flow.src * n) + f.Flow.dst in
-  let k = (k * Qos.count) + Qos.index f.Flow.qos in
-  let k = (k * Uci.count) + Uci.index f.Flow.uci in
-  let k = (k * 24) + f.Flow.hour in
-  (k * 2) + if f.Flow.authenticated then 1 else 0
-
-(* Is the cached path still usable: every AD up, every consecutive
-   pair joined by an up link? (Policy validity is covered by the
-   version check — same database version, same admissions.) *)
-let path_live t path =
-  let rec go = function
-    | [] -> true
-    | [ last ] -> t.node_up last
-    | a :: (b :: _ as rest) ->
-        t.node_up a
-        && Graph.fold_neighbors t.graph a ~init:false ~f:(fun acc v l ->
-               acc || (v = b && t.link_up l))
-        && go rest
-  in
-  go path
-
 type answer =
-  | Route of { path : Path.t; handle : int; version : int; cache_hit : bool }
+  | Route of { path : Path.t; handle : int; version : int }
   | No_route of { version : int }
 
 (* Exact (node, arrived-from) policy search: {!Pr_proto.Policy_route.search}
@@ -191,11 +148,6 @@ let issue_handle t ~now path =
     "serve.handles";
   h
 
-let cache_ready t ~snap (f : Flow.t) =
-  match Lru.peek t.routes (route_key t f) with
-  | Some e -> e.e_version = Pdd.snapshot_version snap && path_live t e.e_path
-  | None -> false
-
 let query ?snap t ~now (f : Flow.t) =
   t.queries <- t.queries + 1;
   Reg.inc t.m_queries;
@@ -204,30 +156,12 @@ let query ?snap t ~now (f : Flow.t) =
      mutates this one, so the answer is wholly from one version. *)
   let snap = match snap with Some s -> s | None -> Pdd.snapshot t.pdd in
   let version = Pdd.snapshot_version snap in
-  let key = route_key t f in
-  let cached =
-    match Lru.find t.routes key with
-    | Some e when e.e_version = version && path_live t e.e_path -> Some e.e_path
-    | _ -> None
-  in
-  match cached with
-  | Some path ->
-      t.route_hits <- t.route_hits + 1;
-      Reg.inc t.m_route_hits;
-      Trace.instant t.trace ~ts:now ~tid:0 "serve.query.hit";
-      Route { path; handle = issue_handle t ~now path; version; cache_hit = true }
-  | None -> (
-      t.route_misses <- t.route_misses + 1;
-      Reg.inc t.m_route_misses;
-      Trace.instant t.trace ~ts:now ~tid:0 "serve.query.miss";
-      match synthesize t snap f with
-      | Some path ->
-          ignore (Lru.put t.routes key { e_path = path; e_version = version });
-          Route { path; handle = issue_handle t ~now path; version; cache_hit = false }
-      | None ->
-          t.no_routes <- t.no_routes + 1;
-          Reg.inc t.m_no_routes;
-          No_route { version })
+  match synthesize t snap f with
+  | Some path -> Route { path; handle = issue_handle t ~now path; version }
+  | None ->
+      t.no_routes <- t.no_routes + 1;
+      Reg.inc t.m_no_routes;
+      No_route { version }
 
 let data t ~now ~handle =
   t.data_packets <- t.data_packets + 1;
@@ -246,8 +180,6 @@ type stats = {
   queries : int;
   data_packets : int;
   route_hits : int;
-  route_misses : int;
-  route_evictions : int;
   handle_hits : int;
   handle_misses : int;
   handle_evictions : int;
@@ -262,9 +194,7 @@ let stats (t : t) =
   {
     queries = t.queries;
     data_packets = t.data_packets;
-    route_hits = t.route_hits;
-    route_misses = t.route_misses;
-    route_evictions = Lru.evictions t.routes;
+    route_hits = 0;
     handle_hits = t.handle_hits;
     handle_misses = t.handle_misses;
     handle_evictions = Lru.evictions t.handles;
@@ -276,13 +206,12 @@ let stats (t : t) =
   }
 
 let self_check t =
-  let ( let* ) = Result.bind in
-  let label l = Result.map_error (fun e -> l ^ ": " ^ e) in
-  let* () = label "route cache" (Lru.self_check t.routes) in
-  let* () = label "handle table" (Lru.self_check t.handles) in
-  let live = Lru.length t.handles and evicted = Lru.evictions t.handles in
-  if live + evicted <> t.next_handle then
-    Error
-      (Printf.sprintf "handle leak: issued %d but live %d + evicted %d" t.next_handle
-         live evicted)
-  else Ok ()
+  match Lru.self_check t.handles with
+  | Error e -> Error ("handle table: " ^ e)
+  | Ok () ->
+      let live = Lru.length t.handles and evicted = Lru.evictions t.handles in
+      if live + evicted <> t.next_handle then
+        Error
+          (Printf.sprintf "handle leak: issued %d but live %d + evicted %d" t.next_handle
+             live evicted)
+      else Ok ()

@@ -9,24 +9,22 @@
     answers entirely from the version it pinned (callers that want the
     newest answers simply refresh first, the retry-on-new discipline).
 
-    Two caches front the synthesis work, both LRU-bounded
-    ({!Pr_util.Lru}):
+    There is no route cache: every query synthesizes its route afresh
+    ({!Pr_proto.Policy_route.search} over the live topology), so an
+    answer always reflects the link/node state at the moment it is
+    asked. Reuse comes from the paper's route setup instead — the
+    {e handle table}, an LRU-bounded ({!Pr_util.Lru}) map from handles
+    to installed routes: a successful query installs the route under a
+    fresh handle, and data packets present handles instead of
+    repeating the query. A handle miss (evicted under LRU pressure)
+    means the client must re-set-up.
 
-    - the {e route cache}, keyed by (src, dst, QOS, UCI, hour, auth),
-      whose entries remember the database version that produced them
-      and are revalidated against the current link/node state on hit;
-    - the {e handle table}, the ORWG-style setup state: a successful
-      query installs the route under a fresh handle, and data packets
-      present handles instead of repeating the query. A handle miss
-      (evicted under LRU pressure) means the client must re-set-up.
-
-    Cache hits, misses and evictions are exposed in {!stats} and as
+    Handle hits, misses and evictions are exposed in {!stats} and as
     [lib/obs] trace instants/counters. *)
 
 type t
 
 val create :
-  ?route_capacity:int option ->
   ?handle_capacity:int option ->
   ?trace:Pr_obs.Trace.t ->
   ?link_up:(Pr_topology.Link.id -> bool) ->
@@ -34,7 +32,7 @@ val create :
   Pr_topology.Graph.t ->
   Pr_policy.Policy_store.t ->
   t
-(** Defaults: route capacity [Some 4096], handle capacity [Some 1024],
+(** Defaults: handle capacity [Some 1024],
     disabled trace, and an always-up topology. [link_up]/[node_up]
     plug in the simulated network's dynamic state. Building the server
     compiles the whole policy database into decision diagrams. *)
@@ -51,25 +49,15 @@ val snapshot : t -> Pdd.snapshot
 (** The current database version (refresh first for the newest). *)
 
 type answer =
-  | Route of { path : Pr_topology.Path.t; handle : int; version : int; cache_hit : bool }
+  | Route of { path : Pr_topology.Path.t; handle : int; version : int }
   | No_route of { version : int }
 
-val cache_ready : t -> snap:Pdd.snapshot -> Pr_policy.Flow.t -> bool
-(** Would {!query} at [snap] answer from the route cache right now — a
-    cached entry at the snapshot's version whose path is still up?
-    Reads without touching recency or any counter: the serve-stale
-    shedding predicate (queries that would need a fresh synthesis on a
-    stale database are shed; cached answers stay cheap to serve). *)
-
 val query : ?snap:Pdd.snapshot -> t -> now:float -> Pr_policy.Flow.t -> answer
-(** Answer one route query: from the route cache when the entry was
-    computed at the same database version and its path is still up,
-    otherwise by exact (node, arrived-from) policy search
+(** Answer one route query by exact (node, arrived-from) policy search
     ({!Pr_proto.Policy_route.search}) over the live topology, with
-    admission read from the diagram snapshot. Every read — cache validity, admission, search —
-    uses the single pinned snapshot ([snap] if given, else the current
-    one). A successful query installs the route in the handle table
-    and returns the fresh handle. *)
+    admission read from the single pinned diagram snapshot ([snap] if
+    given, else the current one). A successful query installs the
+    route in the handle table and returns the fresh handle. *)
 
 val data : t -> now:float -> handle:int -> Pr_topology.Path.t option
 (** Present a handle for a data packet: [Some path] on a live handle
@@ -80,8 +68,8 @@ type stats = {
   queries : int;
   data_packets : int;
   route_hits : int;
-  route_misses : int;
-  route_evictions : int;
+      (** always 0: there is no route cache; kept so existing readers
+          of the stats record still build *)
   handle_hits : int;
   handle_misses : int;
   handle_evictions : int;
@@ -95,6 +83,6 @@ type stats = {
 val stats : t -> stats
 
 val self_check : t -> (unit, string) result
-(** Handle-leak and cache-integrity audit: both LRU structures pass
+(** Handle-leak audit: the handle table passes
     {!Pr_util.Lru.self_check} and every issued handle is accounted for
     (live + evicted = issued). *)

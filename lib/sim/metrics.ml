@@ -19,14 +19,6 @@ let create ~n =
     evicted = Array.make n 0;
   }
 
-let reset t =
-  Array.fill t.msgs 0 t.n 0;
-  Array.fill t.bytes_sent 0 t.n 0;
-  Array.fill t.comps 0 t.n 0;
-  Array.fill t.tables 0 t.n 0;
-  Array.fill t.lost 0 t.n 0;
-  Array.fill t.evicted 0 t.n 0
-
 let record_send t ad ~bytes =
   t.msgs.(ad) <- t.msgs.(ad) + 1;
   t.bytes_sent.(ad) <- t.bytes_sent.(ad) + bytes
@@ -80,17 +72,6 @@ let snapshot t =
     evicted = Array.copy t.evicted;
   }
 
-let merge into from =
-  if into.n <> from.n then invalid_arg "Metrics.merge: size mismatch";
-  for i = 0 to into.n - 1 do
-    into.msgs.(i) <- into.msgs.(i) + from.msgs.(i);
-    into.bytes_sent.(i) <- into.bytes_sent.(i) + from.bytes_sent.(i);
-    into.comps.(i) <- into.comps.(i) + from.comps.(i);
-    into.tables.(i) <- into.tables.(i) + from.tables.(i);
-    into.lost.(i) <- into.lost.(i) + from.lost.(i);
-    into.evicted.(i) <- into.evicted.(i) + from.evicted.(i)
-  done
-
 let diff ~after ~before =
   if after.n <> before.n then invalid_arg "Metrics.diff: size mismatch";
   {
@@ -116,48 +97,6 @@ let to_json t =
       ("evictions", ints t.evicted);
     ]
 
-let ( let* ) = Result.bind
-
-let of_json j =
-  let module J = Pr_util.Json in
-  let int_array name =
-    match J.member name j with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v ->
-      let* items = J.to_list v in
-      let* ints =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* i = J.to_int item in
-            Ok (i :: acc))
-          (Ok []) items
-      in
-      Ok (Array.of_list (List.rev ints))
-  in
-  let* n = J.int_member "n" j in
-  let* msgs = int_array "messages" in
-  let* bytes_sent = int_array "bytes" in
-  let* comps = int_array "computations" in
-  let* tables = int_array "tables" in
-  (* Pre-fault-era documents carry no losses array; treat it as zeros. *)
-  let* lost =
-    match J.member "losses" j with
-    | None -> Ok (Array.make n 0)
-    | Some _ -> int_array "losses"
-  in
-  (* Likewise for pre-serving-layer documents without evictions. *)
-  let* evicted =
-    match J.member "evictions" j with
-    | None -> Ok (Array.make n 0)
-    | Some _ -> int_array "evictions"
-  in
-  if
-    Array.length msgs <> n || Array.length bytes_sent <> n || Array.length comps <> n
-    || Array.length tables <> n || Array.length lost <> n || Array.length evicted <> n
-  then Error "per-AD array lengths disagree with n"
-  else Ok { n; msgs; bytes_sent; comps; tables; lost; evicted }
-
 let load_series t =
   let floats a = Array.map float_of_int a in
   [
@@ -165,7 +104,3 @@ let load_series t =
     ("bytes", floats t.bytes_sent);
     ("computations", floats t.comps);
   ]
-
-let pp ppf t =
-  Format.fprintf ppf "msgs=%d bytes=%d comp=%d tables=%d lost=%d" (messages t) (bytes t)
-    (computations t) (table_entries t) (msgs_lost t)

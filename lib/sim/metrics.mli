@@ -10,8 +10,6 @@ type t
 val create : n:int -> t
 (** [n] is the number of ADs. *)
 
-val reset : t -> unit
-
 val record_send : t -> Pr_topology.Ad.id -> bytes:int -> unit
 (** One control message of the given size sent by the AD. *)
 
@@ -74,19 +72,8 @@ val snapshot : t -> t
 val diff : after:t -> before:t -> t
 (** Counter-wise difference (gauges are taken from [after]). *)
 
-val merge : t -> t -> unit
-(** [merge into from] adds [from]'s per-AD counters and gauges into
-    [into], so metrics recorded by independent workers combine to what
-    one sequential recording would have produced.
-    @raise Invalid_argument when the two differ in [n]. *)
-
 val to_json : t -> Pr_util.Json.t
-(** Full per-AD state, for shipping across a process boundary.
-    Round-trips exactly through {!of_json}. *)
-
-val of_json : Pr_util.Json.t -> (t, string) result
-(** Accepts documents without a ["losses"] or ["evictions"] array
-    (written before those counters existed) by reading zeros. *)
+(** Full per-AD state (per-AD arrays of every counter and gauge). *)
 
 val load_series : t -> (string * float array) list
 (** The per-AD counter vectors (["messages"], ["bytes"],
@@ -94,5 +81,3 @@ val load_series : t -> (string * float array) list
     {!Pr_obs.Load_profile.of_series} and {!Pr_obs.Timeline} consume.
     Table gauges are not included: protocols expose table sizes
     directly via their [table_entries], not through this recorder. *)
-
-val pp : Format.formatter -> t -> unit

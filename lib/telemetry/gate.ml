@@ -67,13 +67,11 @@ let serve_spec ~timing_tolerance =
     exact "links";
     exact "queries";
     exact "answered";
-    exact "route_hits";
-    exact "route_misses";
     exact "no_routes";
     exact "handle_hits";
     exact "handle_misses";
     exact "handles_issued";
-    exact "handles_evicted";
+    exact "handle_evictions";
     exact "rebuilds";
     exact "rebuilt_ads";
     exact "diagram_nodes";
@@ -91,10 +89,7 @@ let serve_spec ~timing_tolerance =
     rel "qps";
     rel "p50_ns";
     rel "p99_ns";
-    rel "admit_ns";
-    rel "spec_admit_ns";
     rel "build_ns";
-    rel "refresh_ns";
   ]
 
 let pp_outcome ppf o =

@@ -1,6 +1,6 @@
 (** Named metrics resolved once to O(1) handles.
 
-    A registry maps dotted metric names ("serve.route_hits") to
+    A registry maps dotted metric names ("serve.handle_hits") to
     instruments. Registration hashes the name exactly once and returns
     a mutable handle — a counter or gauge is a one-field record, a
     histogram is a {!Hist.t} — so hot paths touch plain memory and

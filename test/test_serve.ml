@@ -2,9 +2,9 @@
    admit must agree with the compiled bitsets and the interpreted
    Policy Terms on every crossing, and the hash-cons store must never
    hold two structurally equal live nodes), the generic LRU behind the
-   handle table and route caches, the never-mix snapshot guarantee
-   under set_transit churn, workload determinism, and one short
-   daemon session end to end. *)
+   handle table and ORWG's route caches, the never-mix snapshot guarantee
+   under set_transit churn, workload determinism, and short daemon
+   sessions end to end. *)
 
 module Rng = Pr_util.Rng
 module Lru = Pr_util.Lru
@@ -383,7 +383,85 @@ let daemon_session_healthy () =
     (r.Daemon.stats.Serve.rebuilt_ads
     < r.Daemon.ads * (r.Daemon.stats.Serve.rebuilds + 1))
 
+(* Under the chatter plan the update guard quarantines the flapping
+   adjacency and the loop serves from its pinned snapshot; past the
+   deadline (4 x interval of staleness) every query is shed, and every
+   query that is not shed is either answered or a no-route. *)
+let daemon_chatter_sheds_past_deadline () =
+  let plan =
+    match Pr_faults.Plan.profile "chatter" with
+    | Some p -> p
+    | None -> Alcotest.fail "no chatter profile"
+  in
+  let cfg =
+    {
+      Daemon.default_config with
+      Daemon.target_ads = 30;
+      duration = 12.0;
+      seed = 7;
+      plan;
+      plan_name = "chatter";
+    }
+  in
+  let r = Daemon.run cfg in
+  check_bool "session healthy" true (Daemon.healthy r);
+  check_bool "went stale" true (r.Daemon.stale_batches > 0);
+  check_bool "stale past the deadline" true
+    (r.Daemon.max_stale_age > 4.0 *. cfg.Daemon.interval);
+  check_bool "queries shed" true (r.Daemon.queries_shed > 0);
+  check_int "every query served is answered or no-route" r.Daemon.queries
+    (r.Daemon.answered + r.Daemon.no_routes);
+  check_int "no route cache" 0 r.Daemon.stats.Serve.route_hits
+
 (* --- served routes: live, legal, cheapest --------------------------- *)
+
+(* Each query searches afresh: take a link of a served route down and
+   the answer detours around it; bring it back and the same flow gets
+   its original route again, never the remembered detour. *)
+let repeat_query_follows_link_state () =
+  let scenario = Scenario.for_size ~policy:restrictive ~target_ads:30 ~seed:9 () in
+  let g = scenario.Scenario.graph in
+  let links_down = Array.make (Graph.num_links g) false in
+  let link_up l = not links_down.(l) in
+  let serve = Serve.create ~link_up g (Policy_store.create scenario.Scenario.config) in
+  ignore (Serve.refresh serve ~now:0.0);
+  let route f =
+    match Serve.query serve ~now:0.0 f with
+    | Serve.Route { path; handle; _ } -> Some (path, handle)
+    | Serve.No_route _ -> None
+  in
+  (* The links joining the first hop of a path, parallel ones included. *)
+  let first_hop_links = function
+    | a :: b :: _ ->
+        Graph.fold_neighbors g a ~init:[] ~f:(fun acc v l -> if v = b then l :: acc else acc)
+    | _ -> []
+  in
+  let detoured =
+    Scenario.flows scenario ~rng:(Rng.create 4) ~count:60 ()
+    |> List.filter_map (fun f ->
+           match route f with
+           | Some (path, h1) when List.length path > 2 -> (
+               let hop = first_hop_links path in
+               List.iter (fun l -> links_down.(l) <- true) hop;
+               let during = route f in
+               List.iter (fun l -> links_down.(l) <- false) hop;
+               match during with
+               | Some (detour, _) ->
+                   check_bool "detour avoids the down hop" true
+                     (List.nth detour 1 <> List.nth path 1);
+                   (match route f with
+                   | Some (again, h2) ->
+                       check_bool "restored route is the original" true (again = path);
+                       check_bool "fresh handle" true (h2 <> h1)
+                   | None -> Alcotest.fail "no route after restore");
+                   Some f
+               | None -> None)
+           | _ -> None)
+  in
+  check_bool "some flow detoured and came back" true (detoured <> []);
+  check_int "no route cache hits" 0 (Serve.stats serve).Serve.route_hits
+
+
 
 (* The flow's QOS metric over the cheapest up parallel link from a to
    b, or None when no up link joins them. *)
@@ -427,32 +505,40 @@ let served_routes_live_legal_cheapest =
       let serve = Serve.create ~link_up ~node_up g (Policy_store.create config) in
       ignore (Serve.refresh serve ~now:0.0);
       let flows = Scenario.flows scenario ~rng ~count:12 () in
-      List.for_all
-        (fun (f : Flow.t) ->
-          match Serve.query serve ~now:0.0 f with
-          | Serve.No_route _ -> true
-          | Serve.Route { path; _ } -> (
-              let fail why =
-                QCheck.Test.fail_reportf "seed %d, flow %d->%d, path %s: %s" seed f.Flow.src
-                  f.Flow.dst (Path.to_string path) why
-              in
-              if List.hd path <> f.Flow.src || List.nth path (List.length path - 1) <> f.Flow.dst
-              then fail "wrong endpoints"
-              else if not (Path.is_loop_free path) then fail "loops"
-              else if not (Validate.transit_legal g config f path) then fail "not transit-legal"
-              else
-                match live_cost g ~link_up ~node_up f path with
-                | None -> fail "crosses a down AD or link"
-                | Some cost ->
-                    Validate.legal_paths g config f ~max_hops:8 ~limit:2000 ()
-                    |> List.for_all (fun alt ->
-                           match live_cost g ~link_up ~node_up f alt with
-                           | Some alt_cost when alt_cost < cost ->
-                               fail
-                                 (Printf.sprintf "costs %d, but live legal %s costs %d" cost
-                                    (Path.to_string alt) alt_cost)
-                           | _ -> true)))
-        flows)
+      let served round (f : Flow.t) =
+        match Serve.query serve ~now:0.0 f with
+        | Serve.No_route _ -> true
+        | Serve.Route { path; _ } -> (
+            let fail why =
+              QCheck.Test.fail_reportf "seed %d, %s, flow %d->%d, path %s: %s" seed round
+                f.Flow.src f.Flow.dst (Path.to_string path) why
+            in
+            if List.hd path <> f.Flow.src || List.nth path (List.length path - 1) <> f.Flow.dst
+            then fail "wrong endpoints"
+            else if not (Path.is_loop_free path) then fail "loops"
+            else if not (Validate.transit_legal g config f path) then fail "not transit-legal"
+            else
+              match live_cost g ~link_up ~node_up f path with
+              | None -> fail "crosses a down AD or link"
+              | Some cost ->
+                  Validate.legal_paths g config f ~max_hops:8 ~limit:2000 ()
+                  |> List.for_all (fun alt ->
+                         match live_cost g ~link_up ~node_up f alt with
+                         | Some alt_cost when alt_cost < cost ->
+                             fail
+                               (Printf.sprintf "costs %d, but live legal %s costs %d" cost
+                                  (Path.to_string alt) alt_cost)
+                         | _ -> true))
+      in
+      List.for_all (served "while down") flows
+      && begin
+           (* Bring everything back up: the same flows must now get the
+              cheapest route of the restored topology, not a detour
+              remembered from the outage. *)
+           Array.fill links_down 0 (Array.length links_down) false;
+           Array.fill ads_down 0 (Array.length ads_down) false;
+           List.for_all (served "after restore") flows
+         end)
 
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
@@ -515,17 +601,8 @@ let metrics_evictions_roundtrip () =
   Metrics.record_eviction m 2 ();
   check_int "total" 6 (Metrics.evictions m);
   check_int "per-ad" 5 (Metrics.evictions_of m 1);
-  (match Metrics.of_json (Metrics.to_json m) with
-  | Ok m' ->
-    check_int "json roundtrip total" 6 (Metrics.evictions m');
-    check_int "json roundtrip per-ad" 5 (Metrics.evictions_of m' 1)
-  | Error e -> Alcotest.failf "of_json: %s" e);
   let d = Metrics.diff ~after:m ~before:(Metrics.create ~n:3) in
-  check_int "diff keeps evictions" 6 (Metrics.evictions d);
-  let acc = Metrics.create ~n:3 in
-  Metrics.merge acc m;
-  Metrics.merge acc m;
-  check_int "merge accumulates" 12 (Metrics.evictions acc)
+  check_int "diff keeps evictions" 6 (Metrics.evictions d)
 
 let () =
   Alcotest.run "pr_serve"
@@ -550,6 +627,10 @@ let () =
           Alcotest.test_case "handle accounting" `Quick handle_accounting;
           Alcotest.test_case "workload determinism" `Quick workload_deterministic;
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
+          Alcotest.test_case "chatter sheds past the deadline" `Quick
+            daemon_chatter_sheds_past_deadline;
+          Alcotest.test_case "repeat query follows link state" `Quick
+            repeat_query_follows_link_state;
         ]
         @ qsuite [ served_routes_live_legal_cheapest ] );
       ( "orwg-cache",

@@ -91,101 +91,92 @@ let metrics_diff () =
   check_int "delta messages" 2 (Metrics.messages d);
   check_int "delta bytes" 15 (Metrics.bytes d)
 
-let metrics_reset () =
+let metrics_snapshot_independent () =
   let m = Metrics.create ~n:2 in
-  Metrics.record_send m 0 ~bytes:10;
-  Metrics.reset m;
-  check_int "reset" 0 (Metrics.messages m)
+  Metrics.record_send m 1 ~bytes:8;
+  Metrics.set_table_entries m 0 3;
+  let s = Metrics.snapshot m in
+  Metrics.record_send m 1 ~bytes:8;
+  Metrics.record_loss m 0;
+  Metrics.record_eviction m 0 ();
+  Metrics.set_table_entries m 0 9;
+  check_int "snapshot messages frozen" 1 (Metrics.messages s);
+  check_int "snapshot losses frozen" 0 (Metrics.msgs_lost s);
+  check_int "snapshot evictions frozen" 0 (Metrics.evictions s);
+  check_int "snapshot gauge frozen" 3 (Metrics.table_entries_of s 0);
+  check_int "original moved on" 2 (Metrics.messages m);
+  Alcotest.check_raises "diff size mismatch" (Invalid_argument "Metrics.diff: size mismatch")
+    (fun () -> ignore (Metrics.diff ~after:m ~before:(Metrics.create ~n:3)))
 
-let metrics_merge () =
-  let a = Metrics.create ~n:3 and b = Metrics.create ~n:3 in
-  Metrics.record_send a 0 ~bytes:100;
-  Metrics.record_computation a 1 ~work:4 ();
-  Metrics.add_table_entries a 2 5;
-  Metrics.record_send b 0 ~bytes:50;
-  Metrics.record_send b 2 ~bytes:10;
-  Metrics.add_table_entries b 2 3;
-  Metrics.merge a b;
-  check_int "merged messages" 3 (Metrics.messages a);
-  check_int "merged bytes" 160 (Metrics.bytes a);
-  check_int "merged computations" 4 (Metrics.computations a);
-  check_int "merged per-node bytes" 150 (Metrics.bytes_of a 0);
-  check_int "merged gauge" 8 (Metrics.table_entries_of a 2);
-  (* [from] is read, not written. *)
-  check_int "source untouched" 2 (Metrics.messages b)
+(* [to_json] is what `prx converge --metrics-out` writes: one per-AD
+   array per counter and gauge, in AD order. *)
+let metrics_to_json_arrays () =
+  let m = Metrics.create ~n:3 in
+  Metrics.record_send m 0 ~bytes:40;
+  Metrics.record_send m 2 ~bytes:5;
+  Metrics.record_computation m 1 ~work:6 ();
+  Metrics.set_table_entries m 2 4;
+  Metrics.record_loss m 1;
+  Metrics.record_eviction m 0 ~count:2 ();
+  let module J = Pr_util.Json in
+  let doc = Metrics.to_json m in
+  let ints key =
+    match J.member key doc with
+    | Some (J.List l) -> List.map (function J.Int i -> i | _ -> Alcotest.failf "%s: non-int" key) l
+    | _ -> Alcotest.failf "missing array %s" key
+  in
+  check_bool "n" true (J.member "n" doc = Some (J.Int 3));
+  let per_ad = Alcotest.(check (list int)) in
+  per_ad "messages" [ 1; 0; 1 ] (ints "messages");
+  per_ad "bytes" [ 40; 0; 5 ] (ints "bytes");
+  per_ad "computations" [ 0; 6; 0 ] (ints "computations");
+  per_ad "tables" [ 0; 0; 4 ] (ints "tables");
+  per_ad "losses" [ 0; 1; 0 ] (ints "losses");
+  per_ad "evictions" [ 2; 0; 0 ] (ints "evictions")
 
-let metrics_merge_size_mismatch () =
-  let a = Metrics.create ~n:2 and b = Metrics.create ~n:3 in
-  Alcotest.check_raises "n mismatch" (Invalid_argument "Metrics.merge: size mismatch")
-    (fun () -> Metrics.merge a b)
-
-(* Recording operations whose effect is additive per AD — the ones
-   workers perform — so that splitting a recording across workers and
-   merging must equal recording sequentially. *)
+(* Recording operations, over 4 ADs, for the diff property. *)
 let metrics_op =
   QCheck.(
     map
       (fun (which, ad, v) ->
         let ad = ad mod 4 and v = 1 + (v mod 50) in
-        match which mod 3 with
+        match which mod 5 with
         | 0 -> `Send (ad, v)
         | 1 -> `Compute (ad, v)
+        | 2 -> `Loss ad
+        | 3 -> `Evict (ad, v)
         | _ -> `Table (ad, v))
       (triple small_int small_int small_int))
 
 let apply_op m = function
   | `Send (ad, bytes) -> Metrics.record_send m ad ~bytes
   | `Compute (ad, work) -> Metrics.record_computation m ad ~work ()
-  | `Table (ad, k) -> Metrics.add_table_entries m ad k
+  | `Loss ad -> Metrics.record_loss m ad
+  | `Evict (ad, count) -> Metrics.record_eviction m ad ~count ()
+  | `Table (ad, k) -> Metrics.set_table_entries m ad k
 
-let metrics_equal a b =
-  let per_node f = List.init 4 (fun ad -> f a ad = f b ad) in
-  Metrics.messages a = Metrics.messages b
-  && Metrics.bytes a = Metrics.bytes b
-  && Metrics.computations a = Metrics.computations b
-  && Metrics.table_entries a = Metrics.table_entries b
-  && Metrics.max_table_entries a = Metrics.max_table_entries b
-  && List.for_all Fun.id (per_node Metrics.messages_of)
-  && List.for_all Fun.id (per_node Metrics.bytes_of)
-  && List.for_all Fun.id (per_node Metrics.computations_of)
-  && List.for_all Fun.id (per_node Metrics.table_entries_of)
-
-let metrics_merge_matches_sequential =
-  QCheck.Test.make ~name:"merged worker metrics equal sequential recording" ~count:100
+(* The before/after delta every exhibit takes: diffing against a
+   snapshot leaves exactly the counters of what came after it, and the
+   gauges as they stand at the end. *)
+let metrics_diff_isolates_later_ops =
+  QCheck.Test.make ~name:"diff against a snapshot counts only the later operations" ~count:100
     QCheck.(pair (list metrics_op) (list metrics_op))
-    (fun (ops1, ops2) ->
-      let sequential = Metrics.create ~n:4 in
-      List.iter (apply_op sequential) (ops1 @ ops2);
-      let w1 = Metrics.create ~n:4 and w2 = Metrics.create ~n:4 in
-      List.iter (apply_op w1) ops1;
-      List.iter (apply_op w2) ops2;
-      Metrics.merge w1 w2;
-      metrics_equal sequential w1)
-
-let metrics_json_roundtrip =
-  QCheck.Test.make ~name:"metrics survive a JSON round-trip" ~count:100
-    QCheck.(list metrics_op)
-    (fun ops ->
-      let m = Metrics.create ~n:4 in
-      List.iter (apply_op m) ops;
-      match Pr_util.Json.parse (Pr_util.Json.to_string (Metrics.to_json m)) with
-      | Error _ -> false
-      | Ok doc -> (
-        match Metrics.of_json doc with
-        | Error _ -> false
-        | Ok m' -> metrics_equal m m'))
-
-let metrics_of_json_rejects_garbage () =
-  List.iter
-    (fun doc ->
-      check_bool "rejected" true (Result.is_error (Metrics.of_json doc)))
-    Pr_util.Json.
-      [
-        Null;
-        Obj [];
-        Obj [ ("n", Int 2); ("messages", List [ Int 1 ]) ] (* wrong length *);
-        Obj [ ("n", Int 2); ("messages", String "x") ];
-      ]
+    (fun (earlier, later) ->
+      let m = Metrics.create ~n:4 and alone = Metrics.create ~n:4 in
+      List.iter (apply_op m) earlier;
+      let before = Metrics.snapshot m in
+      List.iter (apply_op m) later;
+      List.iter (apply_op alone) later;
+      let d = Metrics.diff ~after:m ~before in
+      List.for_all
+        (fun ad ->
+          Metrics.messages_of d ad = Metrics.messages_of alone ad
+          && Metrics.bytes_of d ad = Metrics.bytes_of alone ad
+          && Metrics.computations_of d ad = Metrics.computations_of alone ad
+          && Metrics.msgs_lost_of d ad = Metrics.msgs_lost_of alone ad
+          && Metrics.evictions_of d ad = Metrics.evictions_of alone ad
+          && Metrics.table_entries_of d ad = Metrics.table_entries_of m ad)
+        [ 0; 1; 2; 3 ])
 
 (* --- Network ------------------------------------------------------- *)
 
@@ -465,13 +456,10 @@ let () =
         [
           Alcotest.test_case "counters" `Quick metrics_counters;
           Alcotest.test_case "diff" `Quick metrics_diff;
-          Alcotest.test_case "reset" `Quick metrics_reset;
-          Alcotest.test_case "merge" `Quick metrics_merge;
-          Alcotest.test_case "merge size mismatch" `Quick metrics_merge_size_mismatch;
-          Alcotest.test_case "of_json rejects garbage" `Quick metrics_of_json_rejects_garbage;
+          Alcotest.test_case "snapshot independent" `Quick metrics_snapshot_independent;
+          Alcotest.test_case "to_json per-AD arrays" `Quick metrics_to_json_arrays;
         ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ metrics_merge_matches_sequential; metrics_json_roundtrip ] );
+        @ List.map QCheck_alcotest.to_alcotest [ metrics_diff_isolates_later_ops ] );
       ( "network",
         [
           Alcotest.test_case "delivery" `Quick network_delivery;

@@ -300,6 +300,52 @@ let test_gate_bands () =
        (fun (o : Gate.outcome) -> o.field = "qps")
        (Gate.failures (Gate.compare_row ~spec ~baseline ~current:truncated)))
 
+(* Every field the serve gate names must exist in a daemon row: a
+   misspelt field is absent from the baseline too, so [compare_row]
+   would skip it forever instead of gating it. *)
+let test_serve_spec_fields_in_row () =
+  let cfg =
+    { Daemon.default_config with Daemon.seed = 3; target_ads = 14; duration = 2.0 }
+  in
+  let row = Daemon.row_json (Daemon.run cfg) in
+  List.iter
+    (fun (ck : Gate.check) ->
+      check_bool (ck.field ^ " is a row field") true (J.member ck.field row <> None))
+    (Gate.serve_spec ~timing_tolerance:0.5)
+
+(* The serve gate holds [handle_evictions] exactly: a session whose
+   handle table evicts differently from the baseline fails the gate. *)
+let test_serve_spec_gates_handle_evictions () =
+  let cfg =
+    { Daemon.default_config with Daemon.seed = 3; target_ads = 14; duration = 2.0 }
+  in
+  let baseline = Daemon.row_json (Daemon.run cfg) in
+  let spec = Gate.serve_spec ~timing_tolerance:0.5 in
+  (* Replays are compared on the deterministic fields only: wall-clock
+     figures of a session this short are too noisy to band. *)
+  let exact = List.filter (fun (ck : Gate.check) -> ck.band = Gate.Exact) spec in
+  check_int "a replayed session passes the exact fields" 0
+    (List.length
+       (Gate.failures
+          (Gate.compare_row ~spec:exact ~baseline
+             ~current:(Daemon.row_json (Daemon.run cfg)))));
+  let current =
+    match baseline with
+    | J.Obj fields ->
+        J.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "handle_evictions", J.Int e -> (k, J.Int (e + 1))
+               | _ -> (k, v))
+             fields)
+    | _ -> Alcotest.fail "row is not an object"
+  in
+  check_bool "drifted handle_evictions fails" true
+    (List.map (fun (o : Gate.outcome) -> o.field)
+       (Gate.failures (Gate.compare_row ~spec ~baseline ~current))
+    = [ "handle_evictions" ])
+
 (* --- allocation accounting ------------------------------------------ *)
 
 let test_alloc_words () =
@@ -392,7 +438,13 @@ let () =
           Alcotest.test_case "dump" `Quick test_flight_dump;
         ] );
       ( "gate",
-        [ Alcotest.test_case "tolerance bands" `Quick test_gate_bands ] );
+        [
+          Alcotest.test_case "tolerance bands" `Quick test_gate_bands;
+          Alcotest.test_case "serve spec names row fields" `Quick
+            test_serve_spec_fields_in_row;
+          Alcotest.test_case "serve spec gates handle_evictions" `Quick
+            test_serve_spec_gates_handle_evictions;
+        ] );
       ( "alloc",
         [ Alcotest.test_case "words" `Quick test_alloc_words ] );
       ( "daemon",
