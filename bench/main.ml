@@ -1478,7 +1478,7 @@ let interpreted_admits db ad flow ~prev ~next =
 (* [Policy_route.shortest] with interpreted admission: the same search
    over the same bidirectionally confirmed, QOS-weighted adjacency. *)
 let interpreted_shortest db ~n flow =
-  let adj =
+  let rows =
     Array.init n (fun u ->
         match Pr_proto.Lsdb.get db u with
         | None -> [||]
@@ -1494,8 +1494,10 @@ let interpreted_shortest db ~n flow =
                      (Pr_proto.Lsdb.bidirectional_metric db flow.Flow.qos u v))
                lsa.Pr_proto.Lsdb.adjacencies))
   in
-  Pr_proto.Policy_route.search ~n ~src:flow.Flow.src ~dst:flow.Flow.dst ~adj ~entry:Fun.id
-    ~admit:(fun ad ~prev ~next -> interpreted_admits db ad flow ~prev ~next)
+  let csr, metric = Pr_proto.Policy_route.weighted_csr rows in
+  Pr_proto.Policy_route.search ~src:flow.Flow.src ~dst:flow.Flow.dst ~csr
+    ~cost:(fun _ i -> metric.(i))
+    ~entry:Fun.id ~admit:(fun ad ~prev ~next -> interpreted_admits db ad flow ~prev ~next)
     ()
 
 (* Route synthesis (the LS-HBH/ORWG kernel: engine build + exact

@@ -40,126 +40,248 @@ let db_neighbors e u =
         else Option.map (fun m -> (v, m)) (Lsdb.bidirectional_metric e.db e.flow.Flow.qos u v))
       lsa.Lsdb.adjacencies
 
-let search ~n ~src ~dst ~adj ~entry ~admit ?(avoid = []) () =
+(* The ADs a search must not cross, as a mask; [None] (no allocation)
+   for the common empty list. *)
+let avoid_mask ~n = function
+  | [] -> None
+  | avoid ->
+    let a = Array.make n false in
+    List.iter (fun x -> if x >= 0 && x < n then a.(x) <- true) avoid;
+    Some a
+
+type csr = { offset : int array; nbr : int array; rev : int array }
+
+let csr_of_rows rows =
+  let n = Array.length rows in
+  let offset = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    offset.(u + 1) <- offset.(u) + Array.length rows.(u)
+  done;
+  let nbr = Array.concat (Array.to_list rows) in
+  Array.iter
+    (fun w ->
+      if w < 0 || w >= n then invalid_arg "Policy_route.csr_of_rows: neighbor out of range")
+    nbr;
+  let rev = Array.make (Array.length nbr) 0 in
+  for u = 0 to n - 1 do
+    for i = offset.(u) to offset.(u + 1) - 1 do
+      (* Entry i runs u -> w; its reverse is u's position in w's row. A
+         linear exact-match scan: degrees are small and, unlike a rank
+         search, it does not care how the caller ordered a row. *)
+      let w = nbr.(i) in
+      let j = ref offset.(w) and hi = offset.(w + 1) in
+      while !j < hi && nbr.(!j) <> u do
+        incr j
+      done;
+      if !j = hi then invalid_arg "Policy_route.csr_of_rows: adjacency is not symmetric";
+      rev.(i) <- !j
+    done
+  done;
+  { offset; nbr; rev }
+
+let weighted_csr rows =
+  let column f = Array.map (Array.map f) rows in
+  (csr_of_rows (column fst), Array.concat (Array.to_list (column snd)))
+
+(* Per-query search state, reused across the searches of one owner.
+   A slot's dist/parent and an AD's memoized entry are valid only when
+   its mark carries the current generation, so starting a search costs
+   O(1), not O(slots). *)
+type 'e workspace = {
+  mutable gen : int;
+  mutable mark : int array;  (* per slot: 2 gen = reached, 2 gen + 1 = settled *)
+  mutable dist : int array;
+  mutable parent : int array;
+  mutable emark : int array;  (* per AD: gen when entries.(ad) is this search's *)
+  mutable entries : 'e array;
+  (* Binary min-heap of slots on (priority, insertion order): equal
+     priorities pop first-in first-out, the order of Pr_util.Pqueue. *)
+  mutable hprio : int array;
+  mutable hseq : int array;
+  mutable hslot : int array;
+  mutable hsize : int;
+  mutable hnext : int;
+}
+
+let workspace () =
+  {
+    gen = 0;
+    mark = [||];
+    dist = [||];
+    parent = [||];
+    emark = [||];
+    entries = [||];
+    hprio = Array.make 64 0;
+    hseq = Array.make 64 0;
+    hslot = Array.make 64 0;
+    hsize = 0;
+    hnext = 0;
+  }
+
+(* Start a search over [slots] states of an [n]-AD adjacency. Arrays
+   only grow, and a fresh array's zero marks predate generation 1. *)
+let begin_search ws ~slots ~n =
+  if Array.length ws.mark < slots then begin
+    ws.mark <- Array.make slots 0;
+    ws.dist <- Array.make slots 0;
+    ws.parent <- Array.make slots 0
+  end;
+  if Array.length ws.emark < n then ws.emark <- Array.make n 0;
+  ws.gen <- ws.gen + 1;
+  ws.hsize <- 0;
+  ws.hnext <- 0
+
+let heap_push ws prio slot =
+  if ws.hsize = Array.length ws.hprio then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    ws.hprio <- grow ws.hprio;
+    ws.hseq <- grow ws.hseq;
+    ws.hslot <- grow ws.hslot
+  end;
+  let seq = ws.hnext in
+  ws.hnext <- seq + 1;
+  (* The newest entry loses every tie, so it rises only past strictly
+     larger priorities. *)
+  let i = ref ws.hsize in
+  ws.hsize <- ws.hsize + 1;
+  while !i > 0 && prio < ws.hprio.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    ws.hprio.(!i) <- ws.hprio.(p);
+    ws.hseq.(!i) <- ws.hseq.(p);
+    ws.hslot.(!i) <- ws.hslot.(p);
+    i := p
+  done;
+  ws.hprio.(!i) <- prio;
+  ws.hseq.(!i) <- seq;
+  ws.hslot.(!i) <- slot
+
+let heap_pop ws =
+  let top = ws.hslot.(0) in
+  let size = ws.hsize - 1 in
+  ws.hsize <- size;
+  if size > 0 then begin
+    let prio = ws.hprio.(size) and seq = ws.hseq.(size) and slot = ws.hslot.(size) in
+    let less a b =
+      ws.hprio.(a) < ws.hprio.(b) || (ws.hprio.(a) = ws.hprio.(b) && ws.hseq.(a) < ws.hseq.(b))
+    in
+    let before j = ws.hprio.(j) < prio || (ws.hprio.(j) = prio && ws.hseq.(j) < seq) in
+    let i = ref 0 and continue_ = ref true in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= size then continue_ := false
+      else begin
+        let c = if l + 1 < size && less (l + 1) l then l + 1 else l in
+        if before c then begin
+          ws.hprio.(!i) <- ws.hprio.(c);
+          ws.hseq.(!i) <- ws.hseq.(c);
+          ws.hslot.(!i) <- ws.hslot.(c);
+          i := c
+        end
+        else continue_ := false
+      end
+    done;
+    ws.hprio.(!i) <- prio;
+    ws.hseq.(!i) <- seq;
+    ws.hslot.(!i) <- slot
+  end;
+  top
+
+let search ~src ~dst ~csr ~cost ~entry ~admit ?(avoid = []) ?bound ?workspace:ws () =
   if src = dst then (Some [ src ], 0)
   else begin
-    (* State (v, p): we are at v having arrived from p. Encoded as
-       v * n + p for the queue; the initial state uses p = src
-       (harmless: src is on the path anyway and never re-enterable as
-       interior).
-
-       Storage is NOT n^2: a reachable state's p is always one of v's
-       neighbors in the (symmetric) adjacency snapshot, so there are
-       only sum-of-degrees states plus the start. The snapshot doubles
-       as the CSR index that maps (v, p) to a compact slot. Queue
-       payloads and priorities are those of the dense-array
-       formulation, so pop order — and therefore the synthesized
-       route — is identical to it. *)
-    let offset = Array.make (n + 1) 0 in
-    for u = 0 to n - 1 do
-      offset.(u + 1) <- offset.(u) + Array.length adj.(u)
-    done;
-    let start_slot = offset.(n) in
-    let slot v p =
-      (* Position of p among v's neighbors. A linear exact-match scan:
-         degrees are small and, unlike a rank search, it does not care
-         how the caller ordered a row. *)
-      let a = adj.(v) in
-      let len = Array.length a in
-      let i = ref 0 in
-      while !i < len && fst (Array.unsafe_get a !i) <> p do
-        incr i
-      done;
-      if !i = len then invalid_arg "Policy_route.search: adjacency is not symmetric";
-      offset.(v) + !i
-    in
-    let size = start_slot + 1 in
-    let dist = Array.make size infinity in
-    let parent = Array.make size (-1) in
-    let settled = Array.make size false in
-    let work = ref 0 in
-    let q = Pqueue.create () in
-    let encode v p = (v * n) + p in
-    let avoid_arr = Array.make n false in
-    List.iter (fun a -> if a >= 0 && a < n then avoid_arr.(a) <- true) avoid;
-    dist.(start_slot) <- 0.0;
-    Pqueue.add q ~priority:0.0 (encode src src);
-    let best_final = ref None in
-    let continue_ = ref true in
-    while !continue_ do
-      match Pqueue.pop q with
-      | None -> continue_ := false
-      | Some (d, state) ->
-        let v = state / n and p = state mod n in
-        let state_slot = if v = src then start_slot else slot v p in
-        if not settled.(state_slot) then begin
-          settled.(state_slot) <- true;
-          incr work;
-          if v = dst then begin
-            best_final := Some state_slot;
-            continue_ := false
-          end
-          else begin
-            let prev = if v = src then None else Some p in
-            let e = if v = src then None else Some (entry v) in
-            let a = adj.(v) in
-            for i = 0 to Array.length a - 1 do
-              let w, cost = Array.unsafe_get a i in
-              let interior_ok =
-                match e with None -> true | Some e -> admit e ~prev ~next:(Some w)
-              in
-              let avoid_ok = w = dst || not avoid_arr.(w) in
-              if interior_ok && avoid_ok && w <> src then begin
-                let slot' = slot w v in
-                let d' = d +. float_of_int cost in
-                if d' < dist.(slot') then begin
-                  dist.(slot') <- d';
-                  parent.(slot') <- state_slot;
-                  Pqueue.add q ~priority:d' (encode w v)
-                end
-              end
-            done
-          end
-        end
-    done;
-    let node_of s =
-      (* The slot's node: the owner of the CSR row it falls in. *)
-      if s = start_slot then src
+    (* State (v, p): we are at v having arrived from p. Its slot is p's
+       entry in v's CSR row, so reaching w from v over entry i lands in
+       slot rev.(i), and slot s is at nbr.(rev.(s)) having arrived from
+       nbr.(s). The start state (src, -) takes the one extra slot past
+       the rows. Storage is one slot per adjacency entry, not n^2. *)
+    let { offset; nbr; rev } = csr in
+    let n = Array.length offset - 1 in
+    let start = offset.(n) in
+    let ws = match ws with Some ws -> ws | None -> workspace () in
+    begin_search ws ~slots:(start + 1) ~n;
+    let gen = ws.gen in
+    let reached = 2 * gen and settled = (2 * gen) + 1 in
+    let mark = ws.mark and dist = ws.dist and parent = ws.parent in
+    let entry_of v =
+      if ws.emark.(v) = gen then ws.entries.(v)
       else begin
-        let lo = ref 0 and hi = ref n in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if offset.(mid) <= s then lo := mid else hi := mid
-        done;
-        !lo
+        let e = entry v in
+        if Array.length ws.entries < n then ws.entries <- Array.make n e;
+        ws.entries.(v) <- e;
+        ws.emark.(v) <- gen;
+        e
       end
     in
-    match !best_final with
-    | None -> (None, !work)
-    | Some state ->
+    let avoided = avoid_mask ~n avoid in
+    let h = match bound with Some b -> b | None -> fun _ -> 0 in
+    mark.(start) <- reached;
+    dist.(start) <- 0;
+    parent.(start) <- -1;
+    heap_push ws (h src) start;
+    let work = ref 0 in
+    let final = ref (-1) in
+    while !final < 0 && ws.hsize > 0 do
+      let s = heap_pop ws in
+      if mark.(s) <> settled then begin
+        mark.(s) <- settled;
+        incr work;
+        let v = if s = start then src else nbr.(rev.(s)) in
+        if v = dst then final := s
+        else begin
+          let d = dist.(s) in
+          let prev = if s = start then None else Some nbr.(s) in
+          for i = offset.(v) to offset.(v + 1) - 1 do
+            let w = nbr.(i) in
+            let avoid_ok =
+              match avoided with Some a -> w = dst || not a.(w) | None -> true
+            in
+            if w <> src && avoid_ok then begin
+              let c = cost v i in
+              if c <> max_int then begin
+                let d' = d + c in
+                let s' = rev.(i) in
+                if
+                  (mark.(s') < reached || d' < dist.(s'))
+                  && (s = start || admit (entry_of v) ~prev ~next:(Some w))
+                then begin
+                  mark.(s') <- reached;
+                  dist.(s') <- d';
+                  parent.(s') <- s;
+                  heap_push ws (d' + h w) s'
+                end
+              end
+            end
+          done
+        end
+      end
+    done;
+    if !final < 0 then (None, !work)
+    else begin
       (* Reconstruct by walking parents; guard against cycles in the
          state graph (there are none, but be defensive). *)
-      let rec build acc state steps =
-        if steps > size then None
+      let rec build acc s steps =
+        if steps > start then None
         else begin
-          let v = node_of state in
-          if parent.(state) < 0 then Some (v :: acc)
-          else build (v :: acc) parent.(state) (steps + 1)
+          let v = if s = start then src else nbr.(rev.(s)) in
+          if parent.(s) < 0 then Some (v :: acc) else build (v :: acc) parent.(s) (steps + 1)
         end
       in
-      let path = build [] state 0 in
       (* A path can revisit an AD through different (v, p) states;
          such routes are rejected (sources require loop-free routes,
          paper §4.4). *)
-      (match path with
+      match build [] !final 0 with
       | Some p when Pr_topology.Path.is_loop_free p -> (Some p, !work)
-      | _ -> (None, !work))
+      | _ -> (None, !work)
+    end
   end
 
 let shortest e ?avoid () =
-  let adj = Array.init e.n (fun u -> Array.of_list (db_neighbors e u)) in
-  search ~n:e.n ~src:e.flow.Flow.src ~dst:e.flow.Flow.dst ~adj ~entry:Fun.id
-    ~admit:(admits e) ?avoid ()
+  let csr, metric =
+    weighted_csr (Array.init e.n (fun u -> Array.of_list (db_neighbors e u)))
+  in
+  search ~src:e.flow.Flow.src ~dst:e.flow.Flow.dst ~csr
+    ~cost:(fun _ i -> metric.(i))
+    ~entry:Fun.id ~admit:(admits e) ?avoid ()
 
 (* Optimistic node-level Dijkstra: admission is checked per node,
    ignoring prev/next-hop predicates (a None hop satisfies any
@@ -175,8 +297,7 @@ let shortest_optimistic e ~avoid =
   let settled = Array.make n false in
   let work = ref 0 in
   let q = Pqueue.create () in
-  let avoid_arr = Array.make n false in
-  List.iter (fun a -> if a >= 0 && a < n then avoid_arr.(a) <- true) avoid;
+  let avoided = avoid_mask ~n avoid in
   dist.(src) <- 0.0;
   Pqueue.add q ~priority:0.0 src;
   let continue_ = ref true in
@@ -197,7 +318,9 @@ let shortest_optimistic e ~avoid =
           if v_ok then
             List.iter
               (fun (w, cost) ->
-                let avoid_ok = w = dst || not avoid_arr.(w) in
+                let avoid_ok =
+                  match avoided with Some a -> w = dst || not a.(w) | None -> true
+                in
                 if avoid_ok && w <> src then begin
                   let d' = d +. float_of_int cost in
                   if d' < dist.(w) then begin

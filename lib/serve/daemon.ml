@@ -357,6 +357,7 @@ let row_json r =
       ("handles_issued", Json.Int s.Serve.handles_issued);
       ("rebuilds", Json.Int s.Serve.rebuilds);
       ("rebuilt_ads", Json.Int s.Serve.rebuilt_ads);
+      ("states_settled", Json.Int s.Serve.states_settled);
       ("rebuild_p50_ns", Json.Float r.rebuild_p50_ns);
       ("rebuild_max_ns", Json.Float r.rebuild_max_ns);
       ("build_ns", Json.Float r.build_ns);

@@ -12,7 +12,22 @@
     There is no route cache: every query synthesizes its route afresh
     ({!Pr_proto.Policy_route.search} over the live topology), so an
     answer always reflects the link/node state at the moment it is
-    asked. Reuse comes from the paper's route setup instead — the
+    asked. What does not change between queries is built once, on
+    first use, and then never rebuilt: a CSR of the configured graph's
+    neighbor pairs, and per QOS metric class (cost for Default and
+    High_throughput, delay, hops) a {e plane} holding each entry's
+    cheapest parallel link and the distances from 8 landmarks that
+    give the search its A* lower bound. The search reads link/node
+    state through [link_up]/[node_up] as it relaxes each edge, falling
+    back to the pair's cheapest {e up} parallel link when the cheapest
+    one is down, so it returns the same route costs as a search over a
+    fresh per-query snapshot of the live graph. A plane takes
+    [8 * (links + entries + n)] bytes on a 64-bit host (entries =
+    twice the neighbor pairs; about 0.45 MB at 10^4 ADs) plus the shared CSR and
+    the server's reusable search workspace (a few words per entry),
+    so all three classes together take a few MB. The landmark
+    distances are computed on the class's first query (9 shortest-path
+    trees), not in {!create}. Reuse comes from the paper's route setup instead — the
     {e handle table}, an LRU-bounded ({!Pr_util.Lru}) map from handles
     to installed routes: a successful query installs the route under a
     fresh handle, and data packets present handles instead of
@@ -56,8 +71,10 @@ val query : ?snap:Pdd.snapshot -> t -> now:float -> Pr_policy.Flow.t -> answer
 (** Answer one route query by exact (node, arrived-from) policy search
     ({!Pr_proto.Policy_route.search}) over the live topology, with
     admission read from the single pinned diagram snapshot ([snap] if
-    given, else the current one). A successful query installs the
-    route in the handle table and returns the fresh handle. *)
+    given, else the current one). The route is a minimum-cost live,
+    legal, loop-free one; among equal-cost routes the landmark bound
+    decides which is found. A successful query installs the route in
+    the handle table and returns the fresh handle. *)
 
 val data : t -> now:float -> handle:int -> Pr_topology.Path.t option
 (** Present a handle for a data packet: [Some path] on a live handle
@@ -78,6 +95,9 @@ type stats = {
   no_routes : int;
   rebuilds : int;  (** diagram rebuild passes, initial build included *)
   rebuilt_ads : int;  (** per-AD diagram recompilations *)
+  states_settled : int;
+      (** search work summed over all queries: (node, arrived-from)
+          states settled *)
 }
 
 val stats : t -> stats

@@ -78,6 +78,9 @@ let serve_spec ~timing_tolerance =
     exact "diagram_preds";
     exact "agreement_checks";
     exact "agreement_failures";
+    (* Total search work: what the A* landmark bound saves, so losing
+       the bound moves it — a regression no timing band catches. *)
+    exact "states_settled";
     (* Graceful-degradation counters: simulated-time products of the
        (seed, plan) pair, so exact too. *)
     exact "stale_batches";

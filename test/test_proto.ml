@@ -248,24 +248,49 @@ let search_honours_hops () =
     v
   in
   let admit v ~prev ~next:_ = not (v = 1 && prev = Some 0) in
-  let path, work = Policy_route.search ~n:4 ~src:0 ~dst:2 ~adj ~entry ~admit () in
+  let csr, metric = Policy_route.weighted_csr adj in
+  let cost _ i = metric.(i) in
+  let path, work = Policy_route.search ~src:0 ~dst:2 ~csr ~cost ~entry ~admit () in
   Alcotest.(check (option (list int))) "detour" (Some [ 0; 3; 2 ]) path;
   check_bool "work counts settled states" true (work >= 3);
   check_bool "entry never resolved at src or dst" true
     (List.for_all (fun v -> v <> 0 && v <> 2) !entries);
-  let path, work = Policy_route.search ~n:4 ~src:1 ~dst:1 ~adj ~entry ~admit () in
+  check_bool "entry resolved at most once per AD" true
+    (List.length !entries = List.length (List.sort_uniq compare !entries));
+  let path, work = Policy_route.search ~src:1 ~dst:1 ~csr ~cost ~entry ~admit () in
   Alcotest.(check (option (list int))) "src = dst" (Some [ 1 ]) path;
-  check_int "no work" 0 work
+  check_int "no work" 0 work;
+  (* A max_int cost removes the edge: with 3-2 unusable only the
+     refused 0-1-2 remains. *)
+  let cut v i = if v = 3 && csr.Policy_route.nbr.(i) = 2 then max_int else metric.(i) in
+  let path, _ = Policy_route.search ~src:0 ~dst:2 ~csr ~cost:cut ~entry ~admit () in
+  Alcotest.(check (option (list int))) "unusable edge" None path;
+  (* One workspace across searches of different sizes, with the
+     policy-free distances to 2 as the bound (admissible and
+     consistent): the same answers. *)
+  let workspace = Policy_route.workspace () in
+  let small, small_metric = Policy_route.weighted_csr [| [| (1, 2) |]; [| (0, 2) |] |] in
+  let exact v = [| 2; 1; 0; 5 |].(v) in
+  for _ = 1 to 2 do
+    let path, _ =
+      Policy_route.search ~src:0 ~dst:2 ~csr ~cost ~entry ~admit ~bound:exact ~workspace ()
+    in
+    Alcotest.(check (option (list int))) "bounded, shared workspace" (Some [ 0; 3; 2 ]) path;
+    let path, work =
+      Policy_route.search ~src:0 ~dst:1 ~csr:small
+        ~cost:(fun _ i -> small_metric.(i))
+        ~entry ~admit ~workspace ()
+    in
+    Alcotest.(check (option (list int))) "smaller search, same workspace" (Some [ 0; 1 ]) path;
+    check_int "two states settled" 2 work
+  done
 
 let search_rejects_asymmetric_adjacency () =
   (* 0 lists 1, but 1 does not list 0. *)
   let adj = [| [| (1, 1) |]; [| (2, 1) |]; [| (1, 1) |] |] in
   Alcotest.check_raises "one-directional edge"
-    (Invalid_argument "Policy_route.search: adjacency is not symmetric") (fun () ->
-      ignore
-        (Policy_route.search ~n:3 ~src:0 ~dst:2 ~adj ~entry:Fun.id
-           ~admit:(fun _ ~prev:_ ~next:_ -> true)
-           ()))
+    (Invalid_argument "Policy_route.csr_of_rows: adjacency is not symmetric") (fun () ->
+      ignore (Policy_route.weighted_csr adj))
 
 let qos_metric_shapes () =
   let m q = Pr_proto.Qos_metric.metric q ~cost:4 ~delay:2.5 in

@@ -540,6 +540,158 @@ let served_routes_live_legal_cheapest =
            List.for_all (served "after restore") flows
          end)
 
+(* --- the bounded search against the per-query rebuild -------------- *)
+
+(* The oracle: a per-query snapshot of the live graph (the cheapest up
+   parallel link to each up neighbor, under the flow's QOS metric)
+   searched without a bound. The server's static planes, live edge
+   costs and landmark bound must give the same route costs. *)
+let reference_route g ~link_up ~node_up snap (f : Flow.t) =
+  let rows =
+    Array.init (Graph.n g) (fun u ->
+        if not (node_up u) then [||]
+        else
+          Graph.neighbor_ids g u
+          |> List.filter_map (fun v ->
+                 if node_up v then Option.map (fun m -> (v, m)) (hop_metric g ~link_up f u v)
+                 else None)
+          |> Array.of_list)
+  in
+  let csr, metric = Pr_proto.Policy_route.weighted_csr rows in
+  fst
+    (Pr_proto.Policy_route.search ~src:f.Flow.src ~dst:f.Flow.dst ~csr
+       ~cost:(fun _ i -> metric.(i))
+       ~entry:(fun ad -> Pdd.flow_entry (Pdd.root snap ad) f)
+       ~admit:Pdd.entry_admit ())
+
+(* Flows compared, and those answered by a different route of the same
+   cost (the landmark bound may settle ties another way). *)
+let reference_flows = ref 0
+
+let reference_ties = ref 0
+
+let bounded_search_matches_reference =
+  QCheck.Test.make
+    ~name:"served routes cost what the unbounded search over a live rebuild costs"
+    ~count:400 QCheck.small_nat (fun seed ->
+      let rng = Rng.create seed in
+      let target_ads = 10 + Rng.int rng 91 in
+      let policy = if Rng.bool rng then restrictive else Gen.default in
+      let scenario = Scenario.for_size ~policy ~target_ads ~seed () in
+      let g = scenario.Scenario.graph in
+      let links_down = Array.init (Graph.num_links g) (fun _ -> Rng.chance rng 0.1) in
+      let ads_down = Array.init (Graph.n g) (fun _ -> Rng.chance rng 0.05) in
+      let link_up l = not links_down.(l) and node_up ad = not ads_down.(ad) in
+      let serve =
+        Serve.create ~link_up ~node_up g (Policy_store.create scenario.Scenario.config)
+      in
+      ignore (Serve.refresh serve ~now:0.0);
+      let snap = Serve.snapshot serve in
+      Scenario.flows scenario ~rng ~count:30 ()
+      |> List.for_all (fun (f : Flow.t) ->
+             incr reference_flows;
+             let served = answer_path (Serve.query ~snap serve ~now:0.0 f) in
+             let expected = reference_route g ~link_up ~node_up snap f in
+             let cost = Option.map (live_cost g ~link_up ~node_up f) in
+             if cost served <> cost expected then
+               QCheck.Test.fail_reportf "seed %d, flow %d->%d: served %s, reference %s" seed
+                 f.Flow.src f.Flow.dst
+                 (Option.fold ~none:"none" ~some:Path.to_string served)
+                 (Option.fold ~none:"none" ~some:Path.to_string expected)
+             else begin
+               if served <> expected then incr reference_ties;
+               true
+             end))
+
+let reference_tally () =
+  check_bool "flows were compared" true (!reference_flows > 0);
+  Printf.printf "bounded vs reference: %d flows, %d equal-cost ties\n" !reference_flows
+    !reference_ties
+
+(* No generated internet has parallel links, so build one: S - A = B - D
+   where A and B are joined by a cheap (1) and a dear (4) link, with a
+   detour A - C - B costing 3 in between. *)
+let parallel_link_fallback () =
+  let module Ad = Pr_topology.Ad in
+  let ads =
+    [|
+      Ad.make ~id:0 ~name:"S" ~klass:Ad.Stub ~level:Ad.Campus;
+      Ad.make ~id:1 ~name:"A" ~klass:Ad.Transit ~level:Ad.Regional;
+      Ad.make ~id:2 ~name:"B" ~klass:Ad.Transit ~level:Ad.Regional;
+      Ad.make ~id:3 ~name:"D" ~klass:Ad.Stub ~level:Ad.Campus;
+      Ad.make ~id:4 ~name:"C" ~klass:Ad.Transit ~level:Ad.Regional;
+    |]
+  in
+  let link id a b cost = Link.make ~id ~a ~b ~cost Link.Hierarchical in
+  let g =
+    Graph.create ads
+      [| link 0 0 1 1; link 1 1 2 1; link 2 1 2 4; link 3 2 3 1; link 4 1 4 1; link 5 4 2 2 |]
+  in
+  let links_down = Array.make (Graph.num_links g) false in
+  let ads_down = Array.make (Graph.n g) false in
+  let link_up l = not links_down.(l) and node_up ad = not ads_down.(ad) in
+  let serve =
+    Serve.create ~link_up ~node_up g (Policy_store.create (Config.defaults g))
+  in
+  ignore (Serve.refresh serve ~now:0.0);
+  let f = Flow.make ~src:0 ~dst:3 () in
+  let route () = answer_path (Serve.query serve ~now:0.0 f) in
+  let check_route what expected =
+    Alcotest.(check (option (list int))) what expected (route ())
+  in
+  let direct = Some [ 0; 1; 2; 3 ] and detour = Some [ 0; 1; 4; 2; 3 ] in
+  check_route "all up: the cheap link" direct;
+  links_down.(1) <- true;
+  (* Priced at the dear link (4), the pair loses to the detour (3). *)
+  check_route "cheap link down: the pair costs the dear link" detour;
+  ads_down.(4) <- true;
+  check_route "no detour: the dear link still carries the pair" direct;
+  links_down.(2) <- true;
+  check_route "both links and the detour down" None;
+  ads_down.(4) <- false;
+  check_route "both links down: the detour" detour;
+  links_down.(1) <- false;
+  links_down.(2) <- false;
+  check_route "restored: the original route" direct
+
+(* Each server owns its search workspace: interleaving two servers of
+   different sizes, across a policy flip and refresh, answers exactly
+   as a freshly created server would. *)
+let workspace_isolation () =
+  let setup target_ads seed =
+    let scenario = Scenario.for_size ~policy:restrictive ~target_ads ~seed () in
+    let g = scenario.Scenario.graph in
+    let store = Policy_store.create scenario.Scenario.config in
+    let serve = Serve.create g store in
+    ignore (Serve.refresh serve ~now:0.0);
+    let flows = Scenario.flows scenario ~rng:(Rng.create seed) ~count:30 () in
+    (g, store, serve, flows)
+  in
+  let big = setup 80 3 and small = setup 20 5 in
+  let fresh (g, store, _, _) f =
+    let serve = Serve.create g store in
+    ignore (Serve.refresh serve ~now:0.0);
+    answer_path (Serve.query serve ~now:0.0 f)
+  in
+  let ask ((_, _, serve, _) as s) f =
+    check_bool "same answer as a fresh server" true
+      (answer_path (Serve.query serve ~now:0.0 f) = fresh s f)
+  in
+  let (g, store, _, _) = big in
+  let round () =
+    let (_, _, _, big_flows) = big and (_, _, _, small_flows) = small in
+    List.iter2
+      (fun fb fs ->
+        ask big fb;
+        ask small fs)
+      big_flows small_flows
+  in
+  round ();
+  let victim = List.hd (Graph.transit_ids g) in
+  Policy_store.set_transit store victim (Transit_policy.no_transit victim);
+  List.iter (fun (_, _, serve, _) -> ignore (Serve.refresh serve ~now:1.0)) [ big; small ];
+  round ()
+
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
 module Tiny_rc = Pr_orwg.Orwg.Make (struct
@@ -632,7 +784,14 @@ let () =
           Alcotest.test_case "repeat query follows link state" `Quick
             repeat_query_follows_link_state;
         ]
-        @ qsuite [ served_routes_live_legal_cheapest ] );
+        @ qsuite [ served_routes_live_legal_cheapest ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |])
+              bounded_search_matches_reference;
+            Alcotest.test_case "bounded vs reference tally" `Quick reference_tally;
+            Alcotest.test_case "parallel-link fallback" `Quick parallel_link_fallback;
+            Alcotest.test_case "workspace isolation" `Quick workspace_isolation;
+          ] );
       ( "orwg-cache",
         [
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;
